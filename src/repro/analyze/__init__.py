@@ -13,8 +13,9 @@ this package sees the *whole* ``repro`` package at once:
   ``os.environ``) to event-scheduling / trace / seed-derivation sinks;
 * :mod:`~repro.analyze.partition` classifies every simulation module as
   shareable-immutable, partition-local, or cross-partition-mutating -- the
-  machine-readable contract (``analyze-manifest.json``) the sharded
-  Chandy--Misra runner will consume;
+  machine-readable contract (``analyze-manifest.json``) behind the cell
+  runner's promise that parallel cells stay byte-identical at every
+  ``--jobs`` count;
 * :mod:`~repro.analyze.epochs` statically replays chaos fault schedules
   (degrade -> rebuild up*/down* -> multicast CDG) and proves acyclicity and
   reachability at *every* routing epoch, not just epoch 0.

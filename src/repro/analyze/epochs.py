@@ -35,7 +35,7 @@ from repro.routing.deadlock import (
     escape_subgraph,
     find_cycle,
 )
-from repro.routing.reachability import ReachabilityTable
+from repro.routing.reachability import ReachabilityTable, reachability_problems
 from repro.routing.updown import UpDownRouting
 from repro.topology.faults import remove_link
 from repro.topology.graph import NetworkTopology
@@ -66,105 +66,6 @@ def _default_builder(orientation: str) -> RoutingBuilder:
     return build
 
 
-def _subtree_nodes(
-    topo: NetworkTopology, routing: UpDownRouting
-) -> dict[int, set[int]]:
-    """Nodes attached to each switch's BFS-tree subtree (inclusive)."""
-    tree = routing.tree
-    out: dict[int, set[int]] = {
-        s: set(topo.nodes_on_switch(s))
-        for s in range(topo.num_switches)
-    }
-    order = sorted(range(topo.num_switches),
-                   key=lambda s: tree.level[s], reverse=True)
-    for s in order:
-        if tree.parent[s] >= 0:
-            out[tree.parent[s]] |= out[s]
-    return out
-
-
-def _check_reachability_dfs(
-    topo: NetworkTopology, routing: UpDownRouting, epoch: int
-) -> list[EpochProblem]:
-    """Reachability invariants for the DFS-preorder orientation.
-
-    The BFS-subtree premise of :func:`_check_reachability_bfs` does not
-    hold here -- a BFS-tree edge may legitimately point *up* under DFS
-    labels.  The DFS orientation is a total order, so the independent
-    witness is the label assignment itself: every link's up end must be
-    the lower-label end (a full recomputation of the orientation), and
-    the label-0 root must down-reach every node (the tree-worm scheme's
-    covering ancestor).
-    """
-    from repro.routing.dfs_tree import dfs_preorder_labels
-
-    problems: list[EpochProblem] = []
-    labels = dfs_preorder_labels(topo)
-    for lk in topo.links:
-        want = (
-            lk.a.switch
-            if labels[lk.a.switch] < labels[lk.b.switch]
-            else lk.b.switch
-        )
-        if routing.up_end_switch(lk) != want:
-            problems.append(EpochProblem(
-                epoch=epoch, kind="reachability",
-                detail=(f"link {lk.link_id}: up end "
-                        f"{routing.up_end_switch(lk)} contradicts the DFS "
-                        f"preorder labels (expected {want})"),
-            ))
-    reach = ReachabilityTable.build(routing)
-    root = labels.index(0)
-    missing = set(range(topo.num_nodes)) - reach.down_reach(root)
-    if missing:
-        problems.append(EpochProblem(
-            epoch=epoch, kind="reachability",
-            detail=(f"DFS root switch {root} fails to down-reach nodes "
-                    f"{sorted(missing)}"),
-        ))
-    return problems
-
-
-def _check_reachability_bfs(
-    topo: NetworkTopology, routing: UpDownRouting, epoch: int
-) -> list[EpochProblem]:
-    """Reachability invariants against the independent BFS-tree witness."""
-    problems: list[EpochProblem] = []
-    reach = ReachabilityTable.build(routing)
-    subtree = _subtree_nodes(topo, routing)
-    tree = routing.tree
-    links_by_id = {lk.link_id: lk for lk in topo.links}
-    for s in range(topo.num_switches):
-        missing = subtree[s] - reach.down_reach(s)
-        if missing:
-            problems.append(EpochProblem(
-                epoch=epoch, kind="reachability",
-                detail=(f"switch {s}: down-reachability misses BFS "
-                        f"descendants {sorted(missing)}"),
-            ))
-        parent = tree.parent[s]
-        if parent < 0:
-            continue
-        link = links_by_id[tree.parent_link[s]]
-        if routing.is_up_traversal(link, parent):
-            problems.append(EpochProblem(
-                epoch=epoch, kind="reachability",
-                detail=(f"BFS tree link {link.link_id} (switch {parent} -> "
-                        f"child {s}) is oriented up -- the orientation "
-                        "contradicts the spanning tree"),
-            ))
-            continue
-        port_missing = subtree[s] - reach.port_reach(parent, link)
-        if port_missing:
-            problems.append(EpochProblem(
-                epoch=epoch, kind="reachability",
-                detail=(f"switch {parent} down port on link {link.link_id}: "
-                        f"reachability string misses subtree nodes "
-                        f"{sorted(port_missing)}"),
-            ))
-    return problems
-
-
 def _check_epoch(
     topo: NetworkTopology,
     routing: UpDownRouting,
@@ -191,14 +92,12 @@ def _check_epoch(
             detail=("escape-lane (VC 0) channel dependency graph has a "
                     "cycle: " + " -> ".join(map(str, esc_cycle))),
         ))
-    # The reachability witness depends on the orientation rule: the BFS
-    # spanning tree for Autonet's rule, the preorder labels for DFS (a
-    # BFS-tree edge may legitimately point up under DFS labels, so the
-    # BFS premise would report false cycles-of-authority there).
-    if orientation == "dfs":
-        problems.extend(_check_reachability_dfs(topo, routing, epoch))
-    else:
-        problems.extend(_check_reachability_bfs(topo, routing, epoch))
+    problems.extend(
+        EpochProblem(epoch=epoch, kind="reachability", detail=detail)
+        for detail in reachability_problems(
+            ReachabilityTable.build(routing), orientation
+        )
+    )
     return problems
 
 

@@ -1,11 +1,11 @@
-"""Partition-safety certifier for the sharded simulation.
+"""Partition-safety certifier for parallel experiment cells.
 
-The sharded runner (``repro.shard``, docs/sharding.md) shards a
-512--1024-switch network across worker partitions, each running its own
-:class:`SimNetwork` + :class:`Engine` pair under a Chandy--Misra-style
-conservative protocol.  That only works if the code a
-worker executes cannot reach *shared* mutable state: module-level
-containers, class variables, or another partition's ``SimNetwork``.
+The cell runner (:mod:`repro.experiments.runner`) fans independent
+simulation cells out over a process pool, each cell building its own
+:class:`SimNetwork` + :class:`Engine` pair, and promises output that is
+byte-identical at every ``--jobs`` count.  That only holds if the code a
+cell executes cannot reach *shared* mutable state: module-level
+containers, class variables, or another cell's ``SimNetwork``.
 
 This module classifies every simulation module (``SIM_SCOPES``) into one of
 three partition-safety classes and certifies the classification as findings
@@ -25,8 +25,8 @@ plus a machine-readable manifest (``analyze-manifest.json``):
     A function reachable from a runner cell writes a module-level mutable
     object at runtime, or writes another component's ``SimNetwork``/
     ``Engine`` state from outside the sim layer.  This is the class the
-    certifier *fails* on: such code cannot be sharded without a lock or a
-    refactor, so each occurrence must be fixed or carry a justified
+    certifier *fails* on: such code cannot run in parallel cells without a
+    lock or a refactor, so each occurrence must be fixed or carry a justified
     suppression.
 
 Runner-cell reachability starts from the experiment entry points
@@ -34,7 +34,7 @@ Runner-cell reachability starts from the experiment entry points
 functions it dispatches to) and follows the resolved call graph.  Writes
 through the sanctioned coordination API -- the ``ExecutionContext``
 contextvar in ``experiments/runner.py`` -- are exempt: that is the one
-blessed cross-cell channel, and the sharded runner will own its migration.
+blessed cross-cell channel.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class PartitionViolation:
             return (
                 f"{self.function.split(':')[-1]}() is reachable from "
                 f"{self.root.split(':')[-1]}() and mutates module-level "
-                f"state {self.target}; shard workers would race on it -- "
+                f"state {self.target}; parallel cells would race on it -- "
                 "move it onto an instance owned by the partition or route "
                 "it through ExecutionContext"
             )

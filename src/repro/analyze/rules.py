@@ -150,10 +150,11 @@ def check_unordered_into_sink(files: dict[str, ParsedFile]) -> list[Finding]:
         "state (outside the ExecutionContext API)"
     ),
     rationale=(
-        "the sharded runner (repro.shard) partitions the simulation across "
-        "workers; "
-        "module globals are process-shared, so a runner-reachable write is "
-        "a data race the moment cells run in threads or shards."
+        "the cell runner executes cells in parallel and promises output "
+        "byte-identical at every --jobs count; module globals are "
+        "process-shared, so a runner-reachable write is a data race the "
+        "moment cells run in threads, and leaks state between cells that "
+        "share a worker process."
     ),
 )
 def check_runtime_global_mutation(
@@ -184,7 +185,7 @@ def check_runtime_global_mutation(
     rationale=(
         "a SimNetwork belongs to exactly one partition; measurement and "
         "planning code writing it from outside the sim layer is a "
-        "cross-partition write the sharded runner cannot serialize."
+        "cross-partition write that breaks the isolation of parallel cells."
     ),
 )
 def check_cross_network_mutation(

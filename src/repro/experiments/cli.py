@@ -61,7 +61,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             args.profile,
             jobs=args.jobs,
             cache_dir=cache_dir,
-            shards=args.shards,
         )
         print(result.to_table())
         if stats.experiments_cached:
@@ -252,16 +251,6 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         metavar="N",
         help="worker processes for independent simulation cells (default: 1)",
-    )
-    runp.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "per-simulation shard budget for experiments built on the "
-            "sharded runner, e.g. shard-scaling (default: 1)"
-        ),
     )
     runp.add_argument(
         "--cache-dir",

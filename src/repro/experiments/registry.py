@@ -35,7 +35,6 @@ from repro.experiments import (
     fig10_load_switches,
     fig11_load_msglen,
     group_churn,
-    shard_scaling,
     vc_ablation,
 )
 from repro.experiments.base import ExperimentResult
@@ -69,7 +68,6 @@ EXPERIMENTS: dict[str, Callable[[Profile], ExperimentResult]] = {
     "ablation-pathstrategy": ablation.run_path_strategy,
     "ablation-header": ablation.run_header_capacity,
     "ablation-fixedk": ablation.run_fixed_k,
-    "shard-scaling": shard_scaling.run,
     "group-churn": group_churn.run,
     "vc-ablation": vc_ablation.run,
     "collective-load": collective_load.run,
@@ -89,19 +87,13 @@ def _resolve_profile(profile: Profile | str) -> Profile:
     return profile
 
 
-def _experiment_digest(exp_id: str, profile: Profile, shards: int) -> str:
-    """Content hash of a whole experiment run (id + profile + schema).
-
-    ``shards`` is part of the identity: experiments decomposed over the
-    sharded runner sweep shard counts up to that budget, so the assembled
-    result depends on it (unlike ``jobs``, which never changes output).
-    """
+def _experiment_digest(exp_id: str, profile: Profile) -> str:
+    """Content hash of a whole experiment run (id + profile + schema)."""
     payload = json.dumps(
         {
             "schema": SCHEMA_VERSION,
             "exp_id": exp_id,
             "profile": asdict(profile),
-            "shards": shards,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -110,9 +102,9 @@ def _experiment_digest(exp_id: str, profile: Profile, shards: int) -> str:
 
 
 def _experiment_cache_path(
-    cache_dir: pathlib.Path, exp_id: str, profile: Profile, shards: int
+    cache_dir: pathlib.Path, exp_id: str, profile: Profile
 ) -> pathlib.Path:
-    digest = _experiment_digest(exp_id, profile, shards)
+    digest = _experiment_digest(exp_id, profile)
     return (
         cache_dir
         / "experiments"
@@ -147,14 +139,11 @@ def run_experiment_with_stats(
     *,
     jobs: int = 1,
     cache_dir: str | pathlib.Path | None = None,
-    shards: int = 1,
 ) -> tuple[ExperimentResult, ExecutionStats]:
     """Run one experiment and report what was executed vs cache-served.
 
     ``jobs`` sets the worker-process count for cell-decomposed experiments;
-    ``cache_dir`` (None disables caching) roots both cache tiers; ``shards``
-    is the per-simulation shard budget for experiments built on the sharded
-    runner (and part of the cache identity, since it shapes their output).
+    ``cache_dir`` (None disables caching) roots both cache tiers.
     """
     profile = _resolve_profile(profile)
     try:
@@ -165,19 +154,17 @@ def run_experiment_with_stats(
         ) from None
 
     if cache_dir is None:
-        with execution_context(jobs=jobs, shards=shards) as ctx:
+        with execution_context(jobs=jobs) as ctx:
             return runner(profile), ctx.stats
 
     cache_root = pathlib.Path(cache_dir)
-    exp_path = _experiment_cache_path(cache_root, exp_id, profile, shards)
+    exp_path = _experiment_cache_path(cache_root, exp_id, profile)
     cached = _load_cached_experiment(exp_path)
     if cached is not None:
         stats = ExecutionStats(experiments_cached=1)
         return cached, stats
     cell_cache = CellCache(cache_root / "cells")
-    with execution_context(
-        jobs=jobs, cache=cell_cache, shards=shards
-    ) as ctx:
+    with execution_context(jobs=jobs, cache=cell_cache) as ctx:
         result = runner(profile)
     _store_cached_experiment(exp_path, result)
     return result, ctx.stats
@@ -189,10 +176,9 @@ def run_experiment(
     *,
     jobs: int = 1,
     cache_dir: str | pathlib.Path | None = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Run one experiment by id; profile may be a name or a Profile."""
     result, _stats = run_experiment_with_stats(
-        exp_id, profile, jobs=jobs, cache_dir=cache_dir, shards=shards
+        exp_id, profile, jobs=jobs, cache_dir=cache_dir
     )
     return result

@@ -169,49 +169,12 @@ def run_cell(cell: Cell) -> dict:
             "warmup_ops": point.warmup_ops,
             "saturated": point.saturated,
         }
-    if cell.kind == "shard":
-        from repro.shard import ShardSimulation, seeded_scenario
-
-        # One window-synchronized sharded run of a seeded scenario.  The
-        # shard count is a *coordinate* (part of the cache key): at cluster
-        # scale, same-cycle arbitration ties make the shard axis part of a
-        # run's identity, not a transparent execution detail the way
-        # ``jobs`` is (docs/sharding.md).  The inline backend is used --
-        # these cells already run inside the runner's process pool, and
-        # inline and process backends are digest-identical by contract.
-        scen = seeded_scenario(
-            int(cell.coord("switches")),
-            int(cell.knob("num_jobs")),
-            cell.seed,
-            packet_flits=cell.params.packet_flits,
-            fanout=int(cell.knob("fanout")),
-            spacing=int(cell.knob("spacing")),
-            link_delay=cell.params.link_delay,
-            switch_delay=cell.params.switch_delay,
-        )
-        res = ShardSimulation(scen, int(cell.coord("shards"))).run()
-        starts = {gid: start for gid, (start, _s, _d) in enumerate(scen.jobs)}
-        latencies = [
-            t - starts[gid] for (gid, _node), t in res.deliveries.items()
-        ]
-        return {
-            "mean_latency": sum(latencies) / len(latencies),
-            "deliveries": len(res.deliveries),
-            "rounds": res.rounds,
-            "messages": res.messages,
-            "boundary_links": len(res.plan.boundary_links),
-            "canonical_digest": res.canonical,
-        }
     if cell.kind == "workload":
         from repro.workloads import run_workload_cell
 
         # One open-loop collective workload point.  The seed key excludes
         # the scheme (pairing rule), so every scheme is offered the
-        # byte-identical arrival schedule.  Workload cells are single-shard
-        # by design -- collectives complete through host-level callbacks
-        # that cannot cross shard windows -- so the ``--shards`` budget is
-        # deliberately ignored here and results are byte-identical at any
-        # shard setting (docs/workloads.md).
+        # byte-identical arrival schedule.
         return run_workload_cell(
             cell.params,
             cell.scheme,
@@ -321,11 +284,6 @@ class ExecutionContext:
     jobs: int = 1
     cache: CellCache | None = None
     stats: ExecutionStats = field(default_factory=ExecutionStats)
-    shards: int = 1
-    """Per-simulation shard budget (``--shards N``): experiments that
-    decompose single runs over the sharded runner sweep shard counts up to
-    this bound.  Unlike ``jobs`` (which never changes results), the shard
-    axis is part of each cell's identity -- see ``kind == "shard"``."""
 
 
 _CONTEXT: contextvars.ContextVar[ExecutionContext] = contextvars.ContextVar(
@@ -340,14 +298,12 @@ def current_context() -> ExecutionContext:
 
 @contextlib.contextmanager
 def execution_context(
-    jobs: int = 1, cache: CellCache | None = None, shards: int = 1
+    jobs: int = 1, cache: CellCache | None = None
 ) -> Iterator[ExecutionContext]:
     """Install an execution policy for the duration of a ``with`` block."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    ctx = ExecutionContext(jobs=jobs, cache=cache, shards=shards)
+    ctx = ExecutionContext(jobs=jobs, cache=cache)
     token = _CONTEXT.set(ctx)
     try:
         yield ctx

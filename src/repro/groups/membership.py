@@ -1,8 +1,7 @@
 """Group membership with incremental plan repair under churn.
 
-Grown out of ``repro.collectives.groups``: the static
-:class:`MulticastGroup` / :class:`GroupManager` lifecycle lives here
-(with its invalidation narrowed from cache-wide wipes to keyed discards
+The static :class:`MulticastGroup` / :class:`GroupManager` lifecycle
+lives here (with its invalidation narrowed from cache-wide wipes to keyed discards
 of exactly the group's own plans), and :class:`DynamicGroup` adds the
 churn story --
 

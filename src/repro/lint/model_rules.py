@@ -16,7 +16,8 @@ The rules, and the claim in the paper each one makes checkable:
   unrestricted minimal routing seeds on cyclic topologies (a silent
   always-pass checker is worse than none).
 * ``reachability-superset`` -- every down port's reachability bit string
-  covers at least the BFS-tree descendants behind it (Section 3.2.3).
+  covers at least the BFS-tree descendants behind it (Section 3.2.3), or,
+  under DFS orientation, agrees with the preorder labels.
 * ``path-plan-legality`` -- every MDP-LG plan decomposes into legal
   up*-prefix/down*-suffix worms covering each destination exactly once
   (Sections 3.2.4, 4.2.3).
@@ -38,7 +39,7 @@ from repro.routing.deadlock import (
     build_unrestricted_cdg,
     find_cycle,
 )
-from repro.routing.reachability import ReachabilityTable
+from repro.routing.reachability import ReachabilityTable, reachability_problems
 from repro.routing.updown import UpDownRouting
 from repro.topology.graph import NetworkTopology
 
@@ -162,29 +163,14 @@ def check_cdg_negative_control(ctx: ModelContext) -> list[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Reachability strings vs. the BFS tree
+# Reachability strings vs. the orientation's witness
 # ----------------------------------------------------------------------
-def _subtree_nodes(ctx: ModelContext) -> dict[int, set[int]]:
-    """Nodes attached to each switch's BFS-tree subtree (inclusive)."""
-    tree = ctx.routing.tree
-    out: dict[int, set[int]] = {
-        s: set(ctx.topo.nodes_on_switch(s))
-        for s in range(ctx.topo.num_switches)
-    }
-    order = sorted(range(ctx.topo.num_switches),
-                   key=lambda s: tree.level[s], reverse=True)
-    for s in order:
-        if tree.parent[s] >= 0:
-            out[tree.parent[s]] |= out[s]
-    return out
-
-
 @rule(
     "reachability-superset",
     kind="model",
     description=(
-        "every down port's reachability string must cover the BFS-tree "
-        "descendants behind it"
+        "reachability strings must agree with the orientation's witness: "
+        "BFS-tree descendants, or DFS preorder labels"
     ),
     rationale=(
         "The tree scheme replicates a worm only onto down ports whose "
@@ -193,39 +179,12 @@ def _subtree_nodes(ctx: ModelContext) -> dict[int, set[int]]:
     ),
 )
 def check_reachability_superset(ctx: ModelContext) -> list[Finding]:
-    findings: list[Finding] = []
-    subtree = _subtree_nodes(ctx)
-    tree = ctx.routing.tree
-    links_by_id = {lk.link_id: lk for lk in ctx.topo.links}
-    for s in range(ctx.topo.num_switches):
-        missing = subtree[s] - ctx.reach.down_reach(s)
-        if missing:
-            findings.append(_model_finding(
-                ctx, "reachability-superset",
-                f"switch {s}: down-reachability misses BFS descendants "
-                f"{sorted(missing)}",
-            ))
-        parent = tree.parent[s]
-        if parent < 0:
-            continue
-        link = links_by_id[tree.parent_link[s]]
-        if ctx.routing.is_up_traversal(link, parent):
-            findings.append(_model_finding(
-                ctx, "reachability-superset",
-                f"BFS tree link {link.link_id} (switch {parent} -> child "
-                f"{s}) is oriented up -- the orientation contradicts the "
-                "spanning tree",
-            ))
-            continue
-        port_missing = subtree[s] - ctx.reach.port_reach(parent, link)
-        if port_missing:
-            findings.append(_model_finding(
-                ctx, "reachability-superset",
-                f"switch {parent} down port on link {link.link_id}: "
-                f"reachability string misses subtree nodes "
-                f"{sorted(port_missing)}",
-            ))
-    return findings
+    return [
+        _model_finding(ctx, "reachability-superset", problem)
+        for problem in reachability_problems(
+            ctx.reach, ctx.params.routing_tree
+        )
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -19,8 +19,8 @@ from typing import Callable
 from repro.lint.findings import Severity
 
 SIM_SCOPES = frozenset(
-    {"sim", "routing", "multicast", "traffic", "fuzz", "chaos", "shard",
-     "groups", "workloads"}
+    {"sim", "routing", "multicast", "traffic", "fuzz", "chaos", "groups",
+     "workloads"}
 )
 """Sub-packages of ``repro`` that constitute simulation logic: the scope of
 the determinism-critical rules (seeded randomness, no wall clock, no float

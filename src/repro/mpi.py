@@ -10,7 +10,7 @@ All calls *start* the collective and return its
 :class:`~repro.collectives.CollectiveResult`; run the network
 (``comm.run()``) to completion to read latencies.  One communicator spans
 every node of the network (sub-communicators are just
-:class:`~repro.collectives.groups.MulticastGroup` instances).
+:class:`~repro.groups.membership.MulticastGroup` instances).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.collectives import (
     reduce_to_root,
     scatter_from_root,
 )
-from repro.collectives.groups import GroupManager
+from repro.groups.membership import GroupManager
 from repro.sim.network import SimNetwork
 
 

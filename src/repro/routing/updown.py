@@ -146,7 +146,7 @@ class UpDownRouting:
         trans = {st: self._legal_transitions(*st) for st in states}
         # The per-destination backward BFS runs on flat integer state ids
         # with the (destination-independent) reverse adjacency built once:
-        # at the sharded-runner scales (512-1024 switches) rebuilding the
+        # at 512-1024 switches rebuilding the
         # adjacency per destination and hashing (switch, Phase) tuples in
         # the inner loops dominated table construction.  The enum-keyed
         # dicts stay the external table format, and visit/append orders are

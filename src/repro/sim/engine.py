@@ -84,29 +84,6 @@ class Engine:
         if until is not None:
             self.now = until
 
-    def run_window(self, end: float) -> int:
-        """Fire every event strictly before ``end``; leave the clock at ``end``.
-
-        The window-exclusive counterpart of :meth:`run`: events scheduled at
-        exactly ``end`` stay queued, so a caller synchronizing several engines
-        (the sharded simulation's conservative time windows) can exchange
-        boundary messages and process barrier-time actions *before* any
-        barrier-time event fires.  Returns the number of events fired.
-
-        Like :meth:`run`, a window ending in the past raises ``ValueError``.
-        """
-        if end < self.now:
-            raise ValueError(f"cannot run window to {end} < now {self.now}")
-        fired = 0
-        while self._heap and self._heap[0][0] < end:
-            time, _seq, fn = heapq.heappop(self._heap)
-            self.now = time
-            fn()
-            fired += 1
-            self._events_fired += 1
-        self.now = end
-        return fired
-
     def step(self, until: float | None = None) -> bool:
         """Fire exactly one event; returns False when the queue is empty.
 
@@ -114,9 +91,8 @@ class Engine:
         ``until`` before ``now`` raises ``ValueError`` (the clock never
         rewinds), and when the next event lies beyond ``until`` nothing
         fires -- the clock advances to ``until`` and ``False`` is returned,
-        exactly as a bounded :meth:`run` would leave it.  Window-stepped
-        shard workers rely on this to neither rewind nor overshoot their
-        synchronization barrier.
+        exactly as a bounded :meth:`run` would leave it, so a caller
+        stepping toward a time bound neither rewinds nor overshoots it.
         """
         if until is not None and until < self.now:
             raise ValueError(f"cannot step until {until} < now {self.now}")

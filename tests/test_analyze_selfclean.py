@@ -27,10 +27,9 @@ def test_repo_tree_is_analyze_clean():
     rendered = "\n".join(f.render() for f in result.findings)
     assert result.findings == [], f"analyze regressions:\n{rendered}"
     assert result.exit_code == 0
-    # The id() suppressions in sim/worm.py and shard/worm_part.py carry
-    # justifications and are the only expected ones; a new suppression
-    # needs a review here.
-    assert result.suppressed == 6
+    # The id() suppressions in sim/worm.py carry justifications and are
+    # the only expected ones; a new suppression needs a review here.
+    assert result.suppressed == 3
 
 
 def test_manifest_matches_fresh_regeneration():

@@ -126,22 +126,6 @@ class TestEngine:
         assert not eng.step(until=30)   # empty heap: clock -> until
         assert eng.now == 30
 
-    def test_run_window_is_end_exclusive(self):
-        eng = Engine()
-        fired = []
-        eng.at(1, lambda: fired.append(1))
-        eng.at(5, lambda: fired.append(5))
-        eng.at(9, lambda: fired.append(9))
-        assert eng.run_window(5) == 1   # the t=5 event must NOT fire
-        assert fired == [1]
-        assert eng.now == 5
-        eng.at(5, lambda: fired.append(55))  # scheduling at the barrier is legal
-        assert eng.run_window(10) == 3  # t=5 events fire in schedule order
-        assert fired == [1, 5, 55, 9]
-        assert eng.now == 10
-        with pytest.raises(ValueError, match="cannot run window"):
-            eng.run_window(9)
-
     def test_next_event_time(self):
         eng = Engine()
         assert eng.next_event_time() is None

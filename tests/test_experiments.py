@@ -189,46 +189,3 @@ class TestCli:
         ]
         assert cli_main(argv) == 0
         assert not (tmp_path / "experiments").exists()
-
-
-class TestShardScaling:
-    """The shard-scaling experiment: the fig07 axis on the sharded runner."""
-
-    def test_registered(self):
-        assert "shard-scaling" in EXPERIMENTS
-        assert "shard-scaling" not in PAPER_FIGURES
-
-    def test_shard_counts_double_up_to_budget(self):
-        from repro.experiments.shard_scaling import _shard_counts
-
-        assert _shard_counts(1) == (1,)
-        assert _shard_counts(2) == (1, 2)
-        assert _shard_counts(6) == (1, 2, 4)
-        assert _shard_counts(8) == (1, 2, 4, 8)
-
-    def test_curves_overlay_across_shard_counts(self, monkeypatch):
-        from repro.experiments import shard_scaling
-
-        monkeypatch.setattr(shard_scaling, "QUICK_SWITCHES", (64,))
-        res = run_experiment("shard-scaling", "quick", shards=2)
-        assert [s.label for s in res.series] == ["1 shard", "2 shards"]
-        serial, sharded = res.series
-        assert sharded.y == serial.y
-        p1, p2 = serial.meta["points"][0], sharded.meta["points"][0]
-        assert p2["canonical_digest"] == p1["canonical_digest"]
-        assert p2["deliveries"] == p1["deliveries"]
-        assert p1["messages"] == 0 and p2["messages"] > 0
-
-    def test_shards_is_part_of_experiment_cache_identity(self):
-        from repro.experiments.registry import _experiment_digest
-
-        one = _experiment_digest("shard-scaling", PROFILES["quick"], 1)
-        two = _experiment_digest("shard-scaling", PROFILES["quick"], 2)
-        assert one != two
-
-    def test_invalid_shard_budget_rejected(self):
-        from repro.experiments.runner import execution_context
-
-        with pytest.raises(ValueError, match="shards"):
-            with execution_context(shards=0):
-                pass

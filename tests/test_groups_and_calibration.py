@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.collectives.groups import GroupManager, MulticastGroup
+from repro.groups.membership import GroupManager, MulticastGroup
 from repro.experiments.calibration import (
     TornadoBar,
     render_tornado,

@@ -113,6 +113,24 @@ class TestReachabilitySuperset:
         assert findings
         assert any(str(victim) in f.message for f in findings)
 
+    def test_dfs_oriented_topologies_pass(self):
+        # A BFS tree edge may legitimately point up under DFS labels; the
+        # rule must judge DFS routing against the preorder witness, as the
+        # epoch verifier does, instead of reporting it as a violation.
+        for seed in range(40):
+            topo = generate_irregular_topology(SimParams(), seed=seed)
+            ctx = ctx_for(topo, f"seed{seed}", routing_tree="dfs")
+            assert check_reachability_superset(ctx) == [], seed
+
+    def test_dfs_corrupted_reachability_flagged(self):
+        topo = generate_irregular_topology(SimParams(), seed=1)
+        ctx = ctx_for(topo, routing_tree="dfs")
+        root = ctx.routing.tree.root
+        victim = next(iter(ctx.reach.down_reach(root)))
+        ctx.reach._switch_reach[root] = ctx.reach.down_reach(root) - {victim}
+        findings = check_reachability_superset(ctx)
+        assert any("DFS root" in f.message for f in findings)
+
 
 class TestPathPlanLegality:
     @pytest.mark.parametrize("seed", [1, 2])
