@@ -21,11 +21,11 @@ Conventions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.multicast.pathworm import MulticastPathPlan
 from repro.params import SimParams
+from repro.routing.reachability import node_id_bits as _node_id_bits
 from repro.sim.network import SimNetwork
 
 
@@ -53,7 +53,7 @@ class SchemeRequirements:
 
 def node_id_bits(params: SimParams) -> int:
     """Bits to name one node."""
-    return max(1, math.ceil(math.log2(params.num_nodes)))
+    return _node_id_bits(params.num_nodes)
 
 
 def tree_scheme_requirements(net: SimNetwork) -> SchemeRequirements:

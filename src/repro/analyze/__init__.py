@@ -6,8 +6,8 @@ this package sees the *whole* ``repro`` package at once:
 * :mod:`~repro.analyze.project` builds a project-wide symbol table and call
   graph;
 * :mod:`~repro.analyze.effects` infers, per function, which ``self.*``
-  attributes, class variables, and module-level objects it mutates,
-  propagated transitively through the call graph;
+  attributes, class variables, and module-level objects it mutates
+  directly;
 * :mod:`~repro.analyze.taint` tracks unordered-iteration and
   object-identity taint from sources (``set`` iteration, ``id()``,
   ``os.environ``) to event-scheduling / trace / seed-derivation sinks;

@@ -14,10 +14,10 @@ module computes an :class:`EffectSet`:
 * ``param_writes`` -- attribute stores on a *parameter* whose type resolves
   to a project class (``net.trace = ...``): mutation of caller-owned state.
 
-Direct effects are then propagated transitively through the call graph to a
-fixpoint: a function inherits the global/class writes of everything it can
-call.  ``self_writes``/``param_writes`` stay local -- they describe the
-function's own receiver/arguments, which a caller maps onto *its* values.
+Effects are *direct*: each is charged to the function that performs the
+write, not to its callers.  The partition certifier walks the call graph
+itself (runner-cell reachability), so a write reachable from a cell is
+reported once, at the function that makes it.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ class EffectSet:
 
     param_writes: dict[str, int] = field(default_factory=dict)
     """``ClassQual.attr`` -> line (attribute stores on typed parameters)."""
-
-    def mutates_shared(self) -> bool:
-        return bool(self.class_writes or self.global_writes)
 
 
 def _receiver_name(fn: FunctionInfo) -> str | None:
@@ -235,58 +232,12 @@ class _FunctionEffects:
             self.effects.global_writes.setdefault(glob, node.lineno)
 
 
-@dataclass
-class EffectsReport:
-    """Direct and transitive effects of every project function."""
-
-    direct: dict[str, EffectSet]
-    transitive: dict[str, EffectSet]
-
-    def shared_writes(self, qual: str) -> dict[str, int]:
-        """All global+class writes of a function, transitively."""
-        eff = self.transitive.get(qual)
-        if eff is None:
-            return {}
-        out = dict(eff.global_writes)
-        out.update(eff.class_writes)
-        return out
-
-
-def infer_effects(index: ProjectIndex) -> EffectsReport:
-    """Direct effects per function + transitive closure over the call graph."""
-    direct: dict[str, EffectSet] = {}
-    for qual in sorted(index.functions):
-        direct[qual] = _FunctionEffects(index, index.functions[qual]).run()
-
-    transitive: dict[str, EffectSet] = {
-        qual: EffectSet(
-            self_writes=dict(eff.self_writes),
-            class_writes=dict(eff.class_writes),
-            global_writes=dict(eff.global_writes),
-            param_writes=dict(eff.param_writes),
-        )
-        for qual, eff in direct.items()
+def infer_effects(index: ProjectIndex) -> dict[str, EffectSet]:
+    """Direct effects of every project function, keyed by qualname."""
+    return {
+        qual: _FunctionEffects(index, index.functions[qual]).run()
+        for qual in sorted(index.functions)
     }
-    # Fixpoint: iterate until no function gains a new shared write.  The
-    # call graph is small (a few hundred nodes) so a simple sweep is fine.
-    changed = True
-    while changed:
-        changed = False
-        for qual in sorted(transitive):
-            eff = transitive[qual]
-            for callee in sorted(index.callees.get(qual, ())):
-                callee_eff = transitive.get(callee)
-                if callee_eff is None:
-                    continue
-                for key, line in callee_eff.global_writes.items():
-                    if key not in eff.global_writes:
-                        eff.global_writes[key] = line
-                        changed = True
-                for key, line in callee_eff.class_writes.items():
-                    if key not in eff.class_writes:
-                        eff.class_writes[key] = line
-                        changed = True
-    return EffectsReport(direct=direct, transitive=transitive)
 
 
 def runtime_mutating_methods(

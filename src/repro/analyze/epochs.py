@@ -29,13 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.routing.deadlock import (
-    build_escape_cdg,
-    build_multicast_cdg,
-    escape_subgraph,
-    find_cycle,
-)
-from repro.routing.reachability import ReachabilityTable, reachability_problems
+from repro.routing.invariants import cdg_problems, reachability_problems
+from repro.routing.reachability import ReachabilityTable
 from repro.routing.updown import UpDownRouting
 from repro.topology.faults import remove_link
 from repro.topology.graph import NetworkTopology
@@ -51,8 +46,7 @@ class EpochProblem:
 
     epoch: int
     kind: str
-    """``cdg-cycle``, ``escape-cdg-cycle``, ``reachability``, or
-    ``disconnect``."""
+    """``cdg-cycle``, ``reachability``, or ``disconnect``."""
 
     detail: str
 
@@ -72,33 +66,15 @@ def _check_epoch(
     epoch: int,
     orientation: str = "bfs",
 ) -> list[EpochProblem]:
-    problems: list[EpochProblem] = []
-    cycle = find_cycle(build_multicast_cdg(topo, routing))
-    if cycle is not None:
-        problems.append(EpochProblem(
-            epoch=epoch, kind="cdg-cycle",
-            detail=("multicast-extended channel dependency graph has a "
-                    "cycle: " + " -> ".join(map(str, cycle))),
-        ))
-    # Escape-VC fabric: lane 0 must stay an acyclic escape path at every
-    # epoch.  The escape subgraph is lane-count invariant, so vc_count=2 is
-    # a representative of every lane count the fabric may run with.
-    esc_cycle = find_cycle(
-        escape_subgraph(build_escape_cdg(topo, routing, vc_count=2))
-    )
-    if esc_cycle is not None:
-        problems.append(EpochProblem(
-            epoch=epoch, kind="escape-cdg-cycle",
-            detail=("escape-lane (VC 0) channel dependency graph has a "
-                    "cycle: " + " -> ".join(map(str, esc_cycle))),
-        ))
-    problems.extend(
-        EpochProblem(epoch=epoch, kind="reachability", detail=detail)
-        for detail in reachability_problems(
-            ReachabilityTable.build(routing), orientation
+    reach = ReachabilityTable.build(routing)
+    return [
+        EpochProblem(epoch=epoch, kind=kind, detail=detail)
+        for kind, details in (
+            ("cdg-cycle", cdg_problems(topo, routing)),
+            ("reachability", reachability_problems(reach, orientation)),
         )
-    )
-    return problems
+        for detail in details
+    ]
 
 
 def verify_epoch_sequence(

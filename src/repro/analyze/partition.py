@@ -41,10 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analyze.effects import (
-    EffectsReport,
-    runtime_mutating_methods,
-)
+from repro.analyze.effects import EffectSet, runtime_mutating_methods
 from repro.analyze.project import ProjectIndex
 
 ROOT_SUFFIXES = (
@@ -148,14 +145,13 @@ class PartitionReport:
     """Violations + per-module classification."""
 
     roots: list[str]
-    reachable: dict[str, str]
     violations: list[PartitionViolation]
     modules: dict[str, ModuleClassification]
 
 
 def certify_partition_safety(
     index: ProjectIndex,
-    effects: EffectsReport,
+    effects: dict[str, EffectSet],
     scopes: frozenset[str] | set[str],
 ) -> PartitionReport:
     """Classify every module whose scope is in ``scopes``; collect violations.
@@ -173,7 +169,7 @@ def certify_partition_safety(
         # classes without an __init__, e.g. dataclasses); only functions
         # have effects.
         fn = index.functions.get(qual)
-        eff = effects.direct.get(qual)
+        eff = effects.get(qual)
         if fn is None or eff is None:
             continue
         shared = dict(eff.global_writes)
@@ -198,7 +194,7 @@ def certify_partition_safety(
         entry = index.modules.get(fn.module)
         if entry is not None and entry.scope in ("sim", "chaos"):
             continue
-        eff = effects.direct.get(qual)
+        eff = effects.get(qual)
         if eff is None:
             continue
         for target in sorted(eff.param_writes):
@@ -216,7 +212,7 @@ def certify_partition_safety(
                 root=reachable.get(qual, "<unreachable>"),
             ))
 
-    mutating_classes = runtime_mutating_methods(index, effects.direct)
+    mutating_classes = runtime_mutating_methods(index, effects)
     modules: dict[str, ModuleClassification] = {}
     for mod_name in sorted(index.modules):
         entry = index.modules[mod_name]
@@ -255,7 +251,6 @@ def certify_partition_safety(
 
     return PartitionReport(
         roots=roots,
-        reachable=reachable,
         violations=violations,
         modules=modules,
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analyze.effects import EffectsReport, infer_effects
+from repro.analyze.effects import EffectSet, infer_effects
 from repro.analyze.partition import PartitionReport, certify_partition_safety
 from repro.analyze.project import ProjectIndex, dotted_name
 from repro.analyze.taint import analyze_taint
@@ -28,12 +28,14 @@ from repro.lint.findings import Finding, Severity
 from repro.lint.registry import SIM_SCOPES, rule
 from repro.lint.sources import ParsedFile
 
-_CACHE: dict[tuple, tuple[ProjectIndex, EffectsReport, PartitionReport]] = {}
+_CACHE: dict[
+    tuple, tuple[ProjectIndex, dict[str, EffectSet], PartitionReport]
+] = {}
 
 
 def _analysis_for(
     files: dict[str, ParsedFile],
-) -> tuple[ProjectIndex, EffectsReport, PartitionReport]:
+) -> tuple[ProjectIndex, dict[str, EffectSet], PartitionReport]:
     """One shared index/effects/partition pass per distinct file set."""
     key = tuple(sorted(
         (pf.path, hash(pf.source)) for pf in files.values()

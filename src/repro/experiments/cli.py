@@ -98,7 +98,7 @@ def _cmd_validate(_args: argparse.Namespace) -> int:
     )
     from repro.multicast import make_scheme
     from repro.params import SimParams
-    from repro.routing.deadlock import DeadlockCycleError, verify_deadlock_free
+    from repro.routing.invariants import cdg_problems
     from repro.routing.updown import UpDownRouting
     from repro.sim.flitsim import FlitLevelFabric, unicast_route
     from repro.sim.network import SimNetwork
@@ -117,13 +117,10 @@ def _cmd_validate(_args: argparse.Namespace) -> int:
     for seed in range(3):
         topo = generate_irregular_topology(params, seed=seed)
         rt = UpDownRouting.build(topo)
-        try:
-            verify_deadlock_free(topo, rt)
-            ok = True
-        except DeadlockCycleError as exc:
-            print(f"seed {seed}: {exc}", file=sys.stderr)
-            ok = False
-        check(f"seed {seed}: up*/down* CDG acyclic", ok)
+        problems = cdg_problems(topo, rt)
+        for problem in problems:
+            print(f"seed {seed}: {problem}", file=sys.stderr)
+        check(f"seed {seed}: up*/down* CDG acyclic", not problems)
 
         rng = random.Random(seed)
         src = rng.randrange(32)

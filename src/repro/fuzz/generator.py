@@ -14,10 +14,10 @@ experiment runner uses for cell seeds, never Python's salted :func:`hash`.
 
 from __future__ import annotations
 
-import math
 import random
 
 from repro.params import SimParams
+from repro.routing.reachability import header_flits
 from repro.topology import faults
 from repro.topology.graph import NetworkTopology
 from repro.topology.irregular import generate_irregular_topology
@@ -204,10 +204,9 @@ def generate_scenario(
     if any(name == "tree" for name, _ in schemes):
         # The tree scheme's N-bit header (plus source id) must leave payload
         # room in the packet -- the same capacity rule repro.lint enforces.
-        node_id_bits = max(1, math.ceil(math.log2(n)))
-        header_flits = math.ceil((n + node_id_bits) / 8)
-        if header_flits >= params.packet_flits:
-            params = params.replace(packet_flits=header_flits + rng.choice([1, 4]))
+        flits = header_flits(n)
+        if flits >= params.packet_flits:
+            params = params.replace(packet_flits=flits + rng.choice([1, 4]))
     fault_schedule: tuple[tuple[float, int], ...] = ()
     if rng.random() < fault_rate:
         fault_schedule = _draw_fault_schedule(rng, topo)

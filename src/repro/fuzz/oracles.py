@@ -15,17 +15,20 @@ every fuzz scenario:
   ends every branch in a delivery channel, and decomposes into up* then
   down* (reusing :func:`repro.routing.paths.updown_decomposition`);
 * **plan-static** -- the path scheme's worm/phase plan passes
-  :func:`repro.multicast.pathworm.verify_plan`; the tree scheme's turn
-  switch really down-covers the destination set;
+  :func:`repro.multicast.pathworm.verify_plan`; the tree scheme's plan
+  passes :func:`repro.multicast.treeworm.verify_tree_plan` (a legal up
+  path to a turn switch that down-covers the destination set);
 * **epoch-static** -- for scenarios with a fault schedule: the
   epoch-sequence verifier (:mod:`repro.analyze.epochs`) statically proves
   CDG acyclicity and reachability completeness at every routing epoch the
   schedule reaches, before any dynamic replay is attempted;
 * **header** -- the bit-string header round-trips and fits the configured
-  packet (the lint model rule's capacity formula, checked dynamically);
-* **reachability** -- the reachability table is internally consistent: the
-  root covers all nodes, attached nodes are self-reachable, port strings
-  are subsets of their switch's own string;
+  packet (:func:`repro.routing.invariants.header_problems`, shared with
+  the lint model rule);
+* **reachability** -- the reachability table agrees with its orientation's
+  witness (:func:`repro.routing.invariants.reachability_problems`, shared
+  with lint and the epoch verifier: BFS-subtree coverage, or DFS preorder
+  labels, self-reachable attached nodes and a root covering every node);
 * **conservation** -- per-channel flit/worm counters equal the sum over
   audited worms that crossed the channel (flits are neither lost nor
   duplicated in flight);
@@ -78,6 +81,8 @@ from dataclasses import dataclass, field
 from repro.chaos import FaultInjector, FaultSchedule, ReliableMulticast
 from repro.multicast import make_scheme
 from repro.multicast.pathworm import plan_path_worms, verify_plan
+from repro.multicast.treeworm import verify_tree_plan
+from repro.routing.invariants import header_problems, reachability_problems
 from repro.routing.paths import updown_decomposition
 from repro.routing.reachability import (
     ReachabilityTable,
@@ -96,9 +101,6 @@ from repro.fuzz.scenario import FuzzScenario, SchemeSpec, spec_label
 
 MAX_EVENTS = 500_000
 """Event budget per scheme run; exceeding it is reported as a runaway."""
-
-FLIT_BITS = 8
-"""Bits per flit (1-byte flits), as in the lint header-capacity rule."""
 
 ORACLES = (
     "delivery",
@@ -417,11 +419,8 @@ def run_scheme(
     elif spec[0] == "tree" and not dict(spec[1]).get("max_header_dests"):
         scheme = make_scheme(spec[0], **dict(spec[1]))
         plan = scheme.plan(net, scenario.source, list(scenario.dests))
-        if not net.reach.covers(plan.turn_switch, dset):
-            out.append(Violation(
-                "plan-static", label,
-                f"turn switch {plan.turn_switch} does not down-cover "
-                f"{sorted(dset)}"))
+        for problem in verify_tree_plan(net, plan, list(scenario.dests)):
+            out.append(Violation("plan-static", label, problem))
 
     # chaos: fault accounting, no give-ups, and seed-replay byte-identity.
     if scenario.fault_schedule:
@@ -461,39 +460,22 @@ def run_scheme(
 def _check_topology(scenario: FuzzScenario, out: list[Violation]) -> None:
     """Reachability- and header-consistency of the system itself."""
     topo = scenario.topo
-    rt = UpDownRouting.build(topo, orientation=scenario.params.routing_tree)
-    reach = ReachabilityTable.build(rt)
-    all_nodes = frozenset(range(topo.num_nodes))
-    if reach.down_reach(rt.tree.root) != all_nodes:
-        out.append(Violation(
-            "reachability", "topology",
-            f"root switch {rt.tree.root} does not down-reach every node"))
-    for s in range(topo.num_switches):
-        local = set(topo.nodes_on_switch(s))
-        if not local <= reach.down_reach(s):
-            out.append(Violation(
-                "reachability", "topology",
-                f"switch {s} does not down-reach its own attached nodes"))
-        for lk in rt.down_links_of(s):
-            if not reach.port_reach(s, lk) <= reach.down_reach(s):
-                out.append(Violation(
-                    "reachability", "topology",
-                    f"switch {s} port on link {lk.link_id} claims nodes "
-                    "its switch cannot down-reach"))
+    orientation = scenario.params.routing_tree
+    reach = ReachabilityTable.build(
+        UpDownRouting.build(topo, orientation=orientation)
+    )
+    for problem in reachability_problems(reach, orientation):
+        out.append(Violation("reachability", "topology", problem))
 
     if decode_mask(header_mask(scenario.dests)) != frozenset(scenario.dests):
         out.append(Violation(
             "header", "topology",
             "bit-string header does not round-trip the destination set"))
     if any(name == "tree" for name, _ in scenario.schemes):
-        n = topo.num_nodes
-        node_id_bits = max(1, math.ceil(math.log2(n)))
-        header_flits = math.ceil((n + node_id_bits) / FLIT_BITS)
-        if header_flits >= scenario.params.packet_flits:
-            out.append(Violation(
-                "header", "topology",
-                f"bit-string header needs {header_flits} flits but packets "
-                f"are only {scenario.params.packet_flits} flits"))
+        for problem in header_problems(
+            topo.num_nodes, scenario.params.packet_flits
+        ):
+            out.append(Violation("header", "topology", problem))
 
 
 def _check_backends(scenario: FuzzScenario, report: ScenarioReport) -> None:

@@ -4,7 +4,8 @@ Where the code rules guard *how the simulator is written*, these guard
 *what it simulates*: the structural invariants the paper's correctness
 argument rests on.  Each rule receives a :class:`ModelContext` (topology,
 up*/down* routing, reachability table, parameters) and returns findings
-anchored to a synthetic ``<model:LABEL>`` path.
+anchored to a synthetic ``<model:LABEL>`` path.  The CDG, reachability
+and header rules wrap the shared checkers of :mod:`repro.routing.invariants`.
 
 The rules, and the claim in the paper each one makes checkable:
 
@@ -27,24 +28,21 @@ The rules, and the claim in the paper each one makes checkable:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import rule
 from repro.params import SimParams
-from repro.routing.deadlock import (
-    build_multicast_cdg,
-    build_unrestricted_cdg,
-    find_cycle,
+from repro.routing.deadlock import build_unrestricted_cdg, find_cycle
+from repro.routing.invariants import (
+    cdg_problems,
+    header_problems,
+    reachability_problems,
 )
-from repro.routing.reachability import ReachabilityTable, reachability_problems
+from repro.routing.reachability import ReachabilityTable
 from repro.routing.updown import UpDownRouting
 from repro.topology.graph import NetworkTopology
-
-FLIT_BITS = 8
-"""The paper's 1-byte flits."""
 
 
 @dataclass(frozen=True)
@@ -126,14 +124,10 @@ def _model_finding(ctx: ModelContext, rule_id: str, message: str) -> Finding:
     ),
 )
 def check_multicast_cdg(ctx: ModelContext) -> list[Finding]:
-    cycle = find_cycle(build_multicast_cdg(ctx.topo, ctx.routing))
-    if cycle is None:
-        return []
-    return [_model_finding(
-        ctx, "multicast-cdg-cycle",
-        "multicast-extended channel dependency graph has a cycle: "
-        + " -> ".join(map(str, cycle)),
-    )]
+    return [
+        _model_finding(ctx, "multicast-cdg-cycle", problem)
+        for problem in cdg_problems(ctx.topo, ctx.routing)
+    ]
 
 
 @rule(
@@ -244,16 +238,9 @@ def check_path_plan_legality(ctx: ModelContext) -> list[Finding]:
     ),
 )
 def check_header_capacity(ctx: ModelContext) -> list[Finding]:
-    p = ctx.params
-    node_id_bits = max(1, math.ceil(math.log2(p.num_nodes)))
-    header_bits = p.num_nodes + node_id_bits
-    header_flits = math.ceil(header_bits / FLIT_BITS)
-    if header_flits < p.packet_flits:
-        return []
-    return [_model_finding(
-        ctx, "header-capacity",
-        f"bit-string header needs {header_flits} flits "
-        f"({p.num_nodes} destination bits + {node_id_bits} source-id bits "
-        f"at {FLIT_BITS} bits/flit) but packets are only "
-        f"{p.packet_flits} flits -- no room for payload",
-    )]
+    return [
+        _model_finding(ctx, "header-capacity", problem)
+        for problem in header_problems(
+            ctx.params.num_nodes, ctx.params.packet_flits
+        )
+    ]

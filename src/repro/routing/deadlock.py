@@ -1,14 +1,13 @@
-"""Channel-dependency-graph deadlock-freedom verification.
+"""Channel dependency graphs (CDGs) of up*/down* routing.
 
 The paper leans on the classical result that up*/down* routing is
 deadlock-free because "the directed links do not form loops" once every
 route is an up* prefix followed by a down* suffix.  This module makes that
-argument checkable: it builds the full channel dependency graph (CDG) of a
-topology under a routing relation -- injection channels, both directions of
-every switch link, and delivery channels -- and verifies it is acyclic
-(Dally & Seitz).  Multidestination worms add no new dependency *kinds*
-beyond "input channel held while an output channel is requested", so the
-same CDG covers the tree- and path-based multicast schemes as well.
+argument checkable: it builds the channel dependency graph of a topology
+under a routing relation -- injection channels, both directions of every
+switch link, and delivery channels -- and :func:`find_cycle` tests it for
+acyclicity (Dally & Seitz).  The invariant check itself is
+:func:`repro.routing.invariants.cdg_problems`.
 
 A permissive "any minimal path" routing relation is included as a negative
 control: on cyclic topologies it produces cyclic CDGs, which the test-suite
@@ -17,55 +16,16 @@ uses to show the checker actually detects deadlock potential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.routing.updown import Phase, UpDownRouting
-from repro.topology.graph import NetworkTopology
+from repro.topology.graph import NetworkTopology, SwitchLink
 
 ChannelKey = tuple
 """('inj', node) | ('fwd', link_id, from_switch) | ('del', node)"""
 
 
-class DeadlockCycleError(Exception):
-    """Raised when the channel dependency graph contains a cycle."""
-
-    def __init__(self, cycle: list[ChannelKey]) -> None:
-        self.cycle = cycle
-        super().__init__(f"cyclic channel dependency: {' -> '.join(map(str, cycle))}")
-
-
-@dataclass(frozen=True)
-class _ArrivalState:
-    """A channel entering a switch together with the packet phase there."""
-
-    switch: int
-    phase: Phase
-
-
-def _arrival_state(
-    rt: UpDownRouting, topo: NetworkTopology, chan: ChannelKey
-) -> _ArrivalState | None:
-    kind = chan[0]
-    if kind == "inj":
-        return _ArrivalState(topo.switch_of_node(chan[1]), Phase.UP)
-    if kind == "fwd":
-        link = next(lk for lk in topo.links if lk.link_id == chan[1])
-        frm = chan[2]
-        to = link.other_end(frm).switch
-        return _ArrivalState(to, rt.traversal_phase(link, frm))
-    return None  # delivery channels terminate at a node: no dependencies
-
-
-def build_channel_dependency_graph(
-    topo: NetworkTopology, rt: UpDownRouting
-) -> dict[ChannelKey, set[ChannelKey]]:
-    """All (held channel -> requested channel) edges under up*/down* routing.
-
-    An edge exists when some packet, having crossed the first channel, may
-    request the second at the switch between them -- over every destination
-    and every minimal-route candidate (adaptive routing's full choice set).
-    """
-    channels: list[ChannelKey] = (
+def _channels(topo: NetworkTopology) -> list[ChannelKey]:
+    """Every channel: injection, delivery, and both directions of a link."""
+    return (
         [("inj", n) for n in range(topo.num_nodes)]
         + [("del", n) for n in range(topo.num_nodes)]
         + [
@@ -74,22 +34,18 @@ def build_channel_dependency_graph(
             for frm in (lk.a.switch, lk.b.switch)
         ]
     )
-    deps: dict[ChannelKey, set[ChannelKey]] = {c: set() for c in channels}
-    for chan in channels:
-        state = _arrival_state(rt, topo, chan)
-        if state is None:
-            continue
-        s, phase = state.switch, state.phase
-        for dest_node in range(topo.num_nodes):
-            dest_switch = topo.switch_of_node(dest_node)
-            if dest_switch == s:
-                deps[chan].add(("del", dest_node))
-                continue
-            if not rt.reachable(s, phase, dest_switch):
-                continue
-            for hop in rt.next_hops(s, phase, dest_switch):
-                deps[chan].add(("fwd", hop.link.link_id, s))
-    return deps
+
+
+def _arrival_switch(
+    topo: NetworkTopology, links: dict[int, SwitchLink], chan: ChannelKey
+) -> int | None:
+    """The switch a channel enters (None for delivery channels, which
+    terminate at a node and have no dependencies)."""
+    if chan[0] == "inj":
+        return topo.switch_of_node(chan[1])
+    if chan[0] == "fwd":
+        return links[chan[1]].other_end(chan[2]).switch
+    return None
 
 
 def find_cycle(deps: dict[ChannelKey, set[ChannelKey]]) -> list[ChannelKey] | None:
@@ -120,20 +76,15 @@ def find_cycle(deps: dict[ChannelKey, set[ChannelKey]]) -> list[ChannelKey] | No
     return None
 
 
-def verify_deadlock_free(topo: NetworkTopology, rt: UpDownRouting) -> None:
-    """Raise :class:`DeadlockCycleError` if the CDG has a cycle."""
-    cycle = find_cycle(build_channel_dependency_graph(topo, rt))
-    if cycle is not None:
-        raise DeadlockCycleError(cycle)
-
-
 def build_multicast_cdg(
     topo: NetworkTopology, rt: UpDownRouting
 ) -> dict[ChannelKey, set[ChannelKey]]:
     """CDG extended with the dependencies multidestination worms introduce.
 
-    The base graph (:func:`build_channel_dependency_graph`) covers unicast
-    traffic on *minimal* legal routes.  Multidestination worms add two things:
+    Unicast traffic on *minimal* legal routes needs only a subset of these
+    edges (:meth:`UpDownRouting.next_hops` returns legal continuations
+    only), so acyclicity here also proves unicast deadlock freedom.
+    Multidestination worms add two things:
 
     * **Arbitrary legal continuations.**  A tree worm's up path is chosen at
       encode time toward a covering ancestor (not necessarily on a minimal
@@ -159,24 +110,18 @@ def build_multicast_cdg(
     "down" links form a directed cycle is detected by :func:`find_cycle`
     even when the minimal-route tables never exercise the cycle.
     """
-    channels: list[ChannelKey] = (
-        [("inj", n) for n in range(topo.num_nodes)]
-        + [("del", n) for n in range(topo.num_nodes)]
-        + [
-            ("fwd", lk.link_id, frm)
-            for lk in topo.links
-            for frm in (lk.a.switch, lk.b.switch)
-        ]
-    )
+    channels = _channels(topo)
+    links = {lk.link_id: lk for lk in topo.links}
     deps: dict[ChannelKey, set[ChannelKey]] = {c: set() for c in channels}
     for chan in channels:
-        state = _arrival_state(rt, topo, chan)
-        if state is None:
+        s = _arrival_switch(topo, links, chan)
+        if s is None:
             continue
-        s, phase = state.switch, state.phase
         for node in topo.nodes_on_switch(s):
             deps[chan].add(("del", node))
-        if phase is Phase.UP:
+        if chan[0] == "inj" or rt.traversal_phase(
+            links[chan[1]], chan[2]
+        ) is Phase.UP:
             for lk in rt.up_links_of(s):
                 deps[chan].add(("fwd", lk.link_id, s))
         for lk in rt.down_links_of(s):
@@ -246,11 +191,11 @@ def build_escape_cdg(
     # 2 + 3. adaptive claims from every arrival switch, and UP-phase
     # continuations for adaptively-crossable lanes (>= 1).
     dest_switches = sorted({topo.switch_of_node(n) for n in range(topo.num_nodes)})
+    links = {lk.link_id: lk for lk in topo.links}
     for chan in base:
-        state = _arrival_state(rt, topo, chan)
-        if state is None:
+        s = _arrival_switch(topo, links, chan)
+        if s is None:
             continue
-        s = state.switch
         minimal = {
             ("fwd", lk.link_id, s)
             for lk in topo.links_of(s)
@@ -284,8 +229,9 @@ def escape_subgraph(
     the fabric admits lane 0 (adaptive-only requests are never queued -- a
     shortcut is only taken when a free lane is in hand), so any deadlocked
     configuration would induce a cycle among lane-0 holds.  By construction
-    the restriction equals the plain multicast CDG up to lane annotation;
-    verifying it per epoch proves the lane lifting preserved acyclicity.
+    the restriction equals the plain multicast CDG up to lane annotation
+    (a test pins the equality), so
+    :func:`repro.routing.invariants.cdg_problems` proves lane 0 acyclic.
     """
 
     def keep(chan: ChannelKey) -> bool:
@@ -296,20 +242,6 @@ def escape_subgraph(
         for chan, targets in deps.items()
         if keep(chan)
     }
-
-
-def verify_escape_deadlock_free(
-    topo: NetworkTopology, rt: UpDownRouting, vc_count: int = 2
-) -> None:
-    """Raise :class:`DeadlockCycleError` if the escape-lane CDG has a cycle.
-
-    The escape subgraph is lane-count invariant (lanes >= 1 are filtered
-    out wholesale), so checking one representative ``vc_count`` certifies
-    every lane count the fabric may run with.
-    """
-    cycle = find_cycle(escape_subgraph(build_escape_cdg(topo, rt, vc_count)))
-    if cycle is not None:
-        raise DeadlockCycleError(cycle)
 
 
 def build_unrestricted_cdg(topo: NetworkTopology) -> dict[ChannelKey, set[ChannelKey]]:
@@ -323,24 +255,13 @@ def build_unrestricted_cdg(topo: NetworkTopology) -> dict[ChannelKey, set[Channe
     from repro.topology.analysis import switch_distances
 
     dist = [switch_distances(topo, s) for s in range(topo.num_switches)]
-    channels: list[ChannelKey] = (
-        [("inj", n) for n in range(topo.num_nodes)]
-        + [("del", n) for n in range(topo.num_nodes)]
-        + [
-            ("fwd", lk.link_id, frm)
-            for lk in topo.links
-            for frm in (lk.a.switch, lk.b.switch)
-        ]
-    )
+    channels = _channels(topo)
+    links = {lk.link_id: lk for lk in topo.links}
     deps: dict[ChannelKey, set[ChannelKey]] = {c: set() for c in channels}
     for chan in channels:
-        if chan[0] == "del":
+        s = _arrival_switch(topo, links, chan)
+        if s is None:
             continue
-        if chan[0] == "inj":
-            s = topo.switch_of_node(chan[1])
-        else:
-            link = next(lk for lk in topo.links if lk.link_id == chan[1])
-            s = link.other_end(chan[2]).switch
         for dest_node in range(topo.num_nodes):
             dest_switch = topo.switch_of_node(dest_node)
             if dest_switch == s:

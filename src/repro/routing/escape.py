@@ -3,8 +3,9 @@
 With ``vc_routing="escape"`` (see :class:`~repro.params.SimParams`) lane 0
 of every channel remains restricted to the up*/down* order -- the *escape
 lane*, whose channel dependency graph is acyclic (Duato's sufficient
-condition, proved per epoch by
-:func:`repro.routing.deadlock.verify_escape_deadlock_free`) -- while lanes
+condition: it equals the multicast CDG that
+:func:`repro.routing.invariants.cdg_problems` proves acyclic at every
+epoch) -- while lanes
 >= 1 may take any hop on a *minimal* switch-graph path toward the
 destination, regardless of up/down legality.
 

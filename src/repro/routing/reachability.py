@@ -13,9 +13,9 @@ masks (mirroring the paper's bit-string encoding).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from repro.routing.dfs_tree import dfs_preorder_labels
 from repro.routing.updown import UpDownRouting
 from repro.topology.graph import SwitchLink
 
@@ -93,110 +93,6 @@ class ReachabilityTable:
         """
         return _mask(self.port_reach(switch, link))
 
-    def total_reach_mask(self, switch: int) -> int:
-        """Bit mask of all nodes down-reachable from ``switch``."""
-        return _mask(self.down_reach(switch))
-
-
-def reachability_problems(
-    reach: ReachabilityTable, orientation: str
-) -> list[str]:
-    """Check ``reach`` against a witness independent of how it was built.
-
-    The witness depends on the orientation rule the routing was built
-    with: the BFS spanning tree for Autonet's rule, the preorder labels
-    for DFS (a BFS-tree edge may legitimately point up under DFS labels,
-    so the BFS premise would report false violations there).  Returns one
-    plain message per violation; empty means the strings are consistent.
-    """
-    if orientation == "dfs":
-        return _dfs_problems(reach)
-    return _bfs_problems(reach)
-
-
-def _subtree_nodes(routing: UpDownRouting) -> dict[int, set[int]]:
-    """Nodes attached to each switch's BFS-tree subtree (inclusive)."""
-    topo, tree = routing.topo, routing.tree
-    out: dict[int, set[int]] = {
-        s: set(topo.nodes_on_switch(s))
-        for s in range(topo.num_switches)
-    }
-    order = sorted(range(topo.num_switches),
-                   key=lambda s: tree.level[s], reverse=True)
-    for s in order:
-        if tree.parent[s] >= 0:
-            out[tree.parent[s]] |= out[s]
-    return out
-
-
-def _bfs_problems(reach: ReachabilityTable) -> list[str]:
-    """Every down port must cover the BFS-tree descendants behind it."""
-    routing = reach.routing
-    topo, tree = routing.topo, routing.tree
-    problems: list[str] = []
-    subtree = _subtree_nodes(routing)
-    links_by_id = {lk.link_id: lk for lk in topo.links}
-    for s in range(topo.num_switches):
-        missing = subtree[s] - reach.down_reach(s)
-        if missing:
-            problems.append(
-                f"switch {s}: down-reachability misses BFS descendants "
-                f"{sorted(missing)}"
-            )
-        parent = tree.parent[s]
-        if parent < 0:
-            continue
-        link = links_by_id[tree.parent_link[s]]
-        if routing.is_up_traversal(link, parent):
-            problems.append(
-                f"BFS tree link {link.link_id} (switch {parent} -> child "
-                f"{s}) is oriented up -- the orientation contradicts the "
-                "spanning tree"
-            )
-            continue
-        port_missing = subtree[s] - reach.port_reach(parent, link)
-        if port_missing:
-            problems.append(
-                f"switch {parent} down port on link {link.link_id}: "
-                f"reachability string misses subtree nodes "
-                f"{sorted(port_missing)}"
-            )
-    return problems
-
-
-def _dfs_problems(reach: ReachabilityTable) -> list[str]:
-    """Reachability invariants for the DFS-preorder orientation.
-
-    The DFS orientation is a total order, so the independent witness is
-    the label assignment itself: every link's up end must be the
-    lower-label end (a full recomputation of the orientation), and the
-    label-0 root must down-reach every node (the tree-worm scheme's
-    covering ancestor).
-    """
-    routing = reach.routing
-    topo = routing.topo
-    problems: list[str] = []
-    labels = dfs_preorder_labels(topo)
-    for lk in topo.links:
-        want = (
-            lk.a.switch
-            if labels[lk.a.switch] < labels[lk.b.switch]
-            else lk.b.switch
-        )
-        if routing.up_end_switch(lk) != want:
-            problems.append(
-                f"link {lk.link_id}: up end {routing.up_end_switch(lk)} "
-                f"contradicts the DFS preorder labels (expected {want})"
-            )
-    root = labels.index(0)
-    missing = set(range(topo.num_nodes)) - reach.down_reach(root)
-    if missing:
-        problems.append(
-            f"DFS root switch {root} fails to down-reach nodes "
-            f"{sorted(missing)}"
-        )
-    return problems
-
 
 def _mask(nodes: frozenset[int]) -> int:
     m = 0
@@ -208,6 +104,21 @@ def _mask(nodes: frozenset[int]) -> int:
 def header_mask(dests: list[int] | set[int] | frozenset[int]) -> int:
     """Encode a destination set as the worm's bit-string header."""
     return _mask(frozenset(dests))
+
+
+FLIT_BITS = 8
+"""The paper's 1-byte flits."""
+
+
+def node_id_bits(num_nodes: int) -> int:
+    """Bits to name one of ``num_nodes`` nodes."""
+    return max(1, math.ceil(math.log2(num_nodes)))
+
+
+def header_flits(num_nodes: int) -> int:
+    """Flits the bit-string header occupies: one bit per node plus a
+    source id (Section 3.3)."""
+    return math.ceil((num_nodes + node_id_bits(num_nodes)) / FLIT_BITS)
 
 
 def decode_mask(mask: int) -> frozenset[int]:

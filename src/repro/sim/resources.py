@@ -276,8 +276,3 @@ class ThroughputResource:
         self.flits_moved += flits
         self.engine.at(end, fn)
         return end
-
-    @property
-    def backlog_cycles(self) -> float:
-        """How far ahead of now the pipe is already committed."""
-        return max(0.0, self._free_at - self.engine.now)

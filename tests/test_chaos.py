@@ -23,7 +23,7 @@ from repro.chaos import (
 )
 from repro.multicast import make_scheme
 from repro.params import SimParams
-from repro.routing.deadlock import verify_deadlock_free
+from repro.routing.invariants import cdg_problems
 from repro.routing.paths import all_minimal_paths, updown_decomposition
 from repro.sim.monitor import NetworkMonitor
 from repro.sim.network import SimNetwork
@@ -154,7 +154,7 @@ class TestReconfiguration:
         net = chaos_net()
         arm(net, [(5.0, 4)])
         net.run()
-        verify_deadlock_free(net.topo, net.routing)
+        assert cdg_problems(net.topo, net.routing) == []
         # every minimal route the new tables can produce decomposes into
         # up* then down*
         for src_sw in range(net.topo.num_switches):

@@ -6,8 +6,8 @@ import pytest
 
 from repro.multicast import make_scheme
 from repro.params import SimParams
-from repro.routing.deadlock import verify_deadlock_free
 from repro.routing.dfs_tree import dfs_preorder_labels
+from repro.routing.invariants import cdg_problems
 from repro.routing.paths import is_legal_path, shortest_path_links
 from repro.routing.updown import Phase, UpDownRouting
 from repro.sim.network import SimNetwork
@@ -61,7 +61,7 @@ class TestDfsOrientation:
         for seed in range(4):
             topo = generate_irregular_topology(SimParams(), seed=seed)
             rt = UpDownRouting.build(topo, orientation="dfs")
-            verify_deadlock_free(topo, rt)
+            assert cdg_problems(topo, rt) == []
 
     def test_root_down_reaches_everything(self):
         from repro.routing.reachability import ReachabilityTable

@@ -6,7 +6,7 @@ import pytest
 
 from repro.multicast import make_scheme
 from repro.params import SimParams
-from repro.routing.deadlock import verify_deadlock_free
+from repro.routing.invariants import cdg_problems
 from repro.routing.updown import UpDownRouting
 from repro.sim.network import SimNetwork
 from repro.topology.faults import degrade, removable_links, remove_link
@@ -96,7 +96,7 @@ class TestReconfiguration:
         topo = generate_irregular_topology(SimParams(), seed=3)
         degraded, _ = degrade(topo, 2, random.Random(7))
         rt = UpDownRouting.build(degraded)
-        verify_deadlock_free(degraded, rt)
+        assert cdg_problems(degraded, rt) == []
 
     @pytest.mark.parametrize("scheme", ["binomial", "ni", "path", "tree"])
     def test_multicast_survives_failures(self, scheme):

@@ -15,7 +15,7 @@ import pytest
 from repro.analyze.epochs import verify_scenario_epochs
 from repro.fuzz import load_corpus, load_entry, run_oracles
 from repro.fuzz.scenario import FuzzScenario
-from repro.routing.deadlock import verify_escape_deadlock_free
+from repro.routing.invariants import cdg_problems
 from repro.routing.updown import UpDownRouting
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "fuzz_corpus"
@@ -85,11 +85,12 @@ def test_corpus_includes_multilane_scenarios():
 )
 def test_corpus_topology_escape_lane_cdg_is_acyclic(path):
     # Every corpus topology must admit escape-VC routing: lane 0's
-    # restricted channel dependency graph is acyclic (the Duato escape
-    # argument's structural premise).
+    # restricted channel dependency graph -- which equals the multicast
+    # CDG up to lane tags -- is acyclic (the Duato escape argument's
+    # structural premise).
     sc = load_entry(path)
     rt = UpDownRouting.build(sc.topo, orientation=sc.params.routing_tree)
-    verify_escape_deadlock_free(sc.topo, rt, vc_count=2)
+    assert cdg_problems(sc.topo, rt) == []
 
 
 @pytest.mark.parametrize(
@@ -99,7 +100,7 @@ def test_corpus_chaos_epochs_have_no_escape_cycles(path):
     # ... and the premise must survive every reconfiguration epoch of the
     # entry's fault schedule, not just the intact topology.
     problems = verify_scenario_epochs(load_entry(path))
-    cycles = [p for p in problems if p.kind == "escape-cdg-cycle"]
+    cycles = [p for p in problems if p.kind == "cdg-cycle"]
     assert not cycles, cycles
 
 

@@ -15,8 +15,10 @@ from repro.lint.model_rules import (
 from repro.params import SimParams
 from repro.routing.bfs_tree import build_bfs_tree
 from repro.routing.deadlock import (
+    build_escape_cdg,
     build_multicast_cdg,
     build_unrestricted_cdg,
+    escape_subgraph,
     find_cycle,
 )
 from repro.routing.updown import UpDownRouting
@@ -56,16 +58,6 @@ class TestExtendedCdg:
         topo = generate_irregular_topology(SimParams(), seed=seed)
         assert check_multicast_cdg(ctx_for(topo, f"seed{seed}")) == []
 
-    def test_extended_cdg_is_superset_of_base(self):
-        from repro.routing.deadlock import build_channel_dependency_graph
-
-        topo = generate_irregular_topology(SimParams(), seed=1)
-        rt = UpDownRouting.build(topo)
-        base = build_channel_dependency_graph(topo, rt)
-        ext = build_multicast_cdg(topo, rt)
-        for chan, deps in base.items():
-            assert deps <= ext[chan]
-
     def test_replication_branch_edges_present(self):
         topo = make_star()
         rt = UpDownRouting.build(topo)
@@ -95,6 +87,40 @@ class TestExtendedCdg:
     def test_negative_control_skips_tree_topologies(self):
         # A line has no cycle to seed; the self-test does not apply.
         assert check_cdg_negative_control(ctx_for(make_line())) == []
+
+
+def _strip_lanes(deps: dict) -> dict:
+    def strip(chan):
+        return chan[:3] if chan[0] == "fwd" else chan
+
+    return {strip(c): {strip(t) for t in ts} for c, ts in deps.items()}
+
+
+def _lemma_instances():
+    for make in (make_line, make_diamond, make_star):
+        topo = make()
+        yield make.__name__, topo, UpDownRouting.build(topo)
+    for orientation in ("bfs", "dfs"):
+        for seed in (1, 2, 3):
+            topo = generate_irregular_topology(SimParams(), seed=seed)
+            yield (f"seed{seed}-{orientation}", topo,
+                   UpDownRouting.build(topo, orientation=orientation))
+    yield ("tampered-diamond", *tampered_diamond_routing())
+
+
+LEMMA_INSTANCES = list(_lemma_instances())
+
+
+@pytest.mark.parametrize(
+    "label,topo,rt", LEMMA_INSTANCES,
+    ids=[label for label, _, _ in LEMMA_INSTANCES],
+)
+def test_escape_lane_zero_equals_multicast_cdg(label, topo, rt):
+    # The lemma that lets one CDG check cover the escape-VC fabric: the
+    # lane-0 subgraph of the escape CDG is the multicast CDG with lane
+    # tags added, so the multicast CDG's acyclicity is lane 0's.
+    escape = escape_subgraph(build_escape_cdg(topo, rt, vc_count=2))
+    assert _strip_lanes(escape) == build_multicast_cdg(topo, rt)
 
 
 class TestReachabilitySuperset:
@@ -130,6 +156,18 @@ class TestReachabilitySuperset:
         ctx.reach._switch_reach[root] = ctx.reach.down_reach(root) - {victim}
         findings = check_reachability_superset(ctx)
         assert any("DFS root" in f.message for f in findings)
+
+    def test_dfs_switch_missing_own_node_flagged(self):
+        # Switch 1 of seed 1 hosts node 6 but is not the DFS root, so
+        # neither the label check nor the root-coverage check sees the
+        # hole: only the own-attached-nodes check does.
+        topo = generate_irregular_topology(SimParams(), seed=1)
+        ctx = ctx_for(topo, routing_tree="dfs")
+        assert 6 in topo.nodes_on_switch(1) and ctx.routing.tree.root != 1
+        ctx.reach._switch_reach[1] = ctx.reach.down_reach(1) - {6}
+        findings = check_reachability_superset(ctx)
+        assert any("switch 1" in f.message and "6" in f.message
+                   for f in findings)
 
 
 class TestPathPlanLegality:

@@ -12,7 +12,7 @@ from repro.multicast.kbinomial import build_k_binomial_tree
 from repro.multicast.pathworm import plan_path_worms
 from repro.multicast.treeworm import plan_tree_worm
 from repro.params import SimParams
-from repro.routing.deadlock import verify_escape_deadlock_free
+from repro.routing.invariants import cdg_problems
 from repro.routing.paths import is_legal_path, shortest_path_links
 from repro.routing.reachability import decode_mask, header_mask
 from repro.routing.updown import Phase, UpDownRouting
@@ -251,7 +251,7 @@ def test_schemes_deliver_exactly_once_on_random_systems(dd, scheme_name, data):
 def test_escape_lane_cdg_acyclic_on_random_degraded_topologies(dd):
     d, n_failures = dd
     topo, _params, _failed = build_degraded_topo(d, n_failures)
-    verify_escape_deadlock_free(topo, UpDownRouting.build(topo), vc_count=2)
+    assert cdg_problems(topo, UpDownRouting.build(topo)) == []
 
 
 @settings(max_examples=10, deadline=None)

@@ -33,8 +33,8 @@ from repro.routing.deadlock import (
     build_escape_cdg,
     escape_subgraph,
     find_cycle,
-    verify_escape_deadlock_free,
 )
+from repro.routing.invariants import cdg_problems
 from repro.sim.crossval import run_event_scenario, run_flit_scenario
 from repro.sim.engine import Engine
 from repro.sim.network import SimNetwork
@@ -248,10 +248,12 @@ class TestEscapeRouting:
             SimParams(vc_routing="escape", vc_count=1).validate()
 
     def test_escape_lane_cdg_is_acyclic_on_seeded_topology(self):
+        # The lane-0 subgraph is the multicast CDG up to lane tags
+        # (test_lint_model_rules pins the equality).
         params = SimParams(num_switches=16)
         topo = generate_irregular_topology(params, seed=7)
         net = SimNetwork(topo, params)
-        verify_escape_deadlock_free(topo, net.routing, vc_count=2)
+        assert cdg_problems(topo, net.routing) == []
 
     def test_full_escape_cdg_is_cyclic_negative_control(self):
         # The acyclicity proof is about the *escape subgraph*; the full
