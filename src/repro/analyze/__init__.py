@@ -20,12 +20,8 @@ this package sees the *whole* ``repro`` package at once:
   (degrade -> rebuild up*/down* -> multicast CDG) and proves acyclicity and
   reachability at *every* routing epoch, not just epoch 0.
 
-Entry points: ``python -m repro.analyze`` / ``repro-analyze`` (see
-:mod:`~repro.analyze.cli`), plus registration of the code rules into the
-:mod:`repro.lint` registry (:mod:`~repro.analyze.rules`) so one lint
-invocation runs both passes.
+Entry point: :mod:`~repro.analyze.rules` registers the analyzers into the
+:mod:`repro.lint` registry, and ``repro-lint`` (with ``--manifest`` and
+``--corpus``) runs them, diffs the manifest and replays the corpus epochs
+in one pass under one suppression policy.
 """
-
-from repro.analyze.engine import AnalysisResult, run_analysis
-
-__all__ = ["AnalysisResult", "run_analysis"]

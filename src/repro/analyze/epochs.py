@@ -13,9 +13,9 @@ epoch, not just the first.
 This verifier replays a fault schedule purely statically: degrade the
 topology link by link, rebuild :class:`UpDownRouting` +
 :class:`ReachabilityTable` exactly as :meth:`SimNetwork.reconfigure` would,
-and re-prove both invariants per epoch.  It runs from three front doors:
+and re-prove both invariants per epoch.  It has three callers:
 
-* ``repro-analyze`` over the committed fuzz/chaos corpora (CI),
+* ``repro-lint --corpus`` over the committed fuzz/chaos corpora (CI),
 * the fuzz harness's ``epoch-static`` oracle before each dynamic replay,
 * tests, which inject a corrupting ``routing_builder`` to prove the
   verifier actually detects a planted epoch-1 cycle.

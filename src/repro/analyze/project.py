@@ -5,8 +5,7 @@ package need to answer questions that span files -- "who calls whom", "which
 name is a module-level mutable object", "what class is this variable an
 instance of".  :class:`ProjectIndex` answers them from the same
 :class:`~repro.lint.sources.ParsedFile` inputs the lint engine already
-produces, so both front doors (``repro-analyze`` and the lint bridge) share
-one index.
+produces, so every analyzer rule of one lint run shares one index.
 
 Resolution is deliberately *best-effort and deterministic*: a call that
 cannot be resolved statically (duck-typed attribute calls on values of

@@ -1,7 +1,7 @@
 """Lint-registry bridge: the whole-program analyzers as lint rules.
 
-Importing this module registers four rules, so ``repro-lint`` and
-``repro-analyze`` agree on rule ids, severities, and suppressions:
+Importing this module registers four rules into the ``repro-lint``
+registry, so they share its rule ids, severities, and suppressions:
 
 * ``identity-in-sim`` (code) -- ``id()`` / ``os.environ`` inside simulation
   scopes;
@@ -13,7 +13,8 @@ Importing this module registers four rules, so ``repro-lint`` and
 
 The three project rules share one :class:`ProjectIndex` + effects pass per
 file set (cached on source content), so registering them adds a single
-whole-program walk to a lint run, not three.
+whole-program walk to a lint run, not three.  The same pass yields the
+partition-safety manifest (:func:`manifest_for`).
 """
 
 from __future__ import annotations
@@ -21,12 +22,24 @@ from __future__ import annotations
 import ast
 
 from repro.analyze.effects import EffectSet, infer_effects
-from repro.analyze.partition import PartitionReport, certify_partition_safety
+from repro.analyze.partition import (
+    PartitionReport,
+    certify_partition_safety,
+    manifest_dict,
+)
 from repro.analyze.project import ProjectIndex, dotted_name
 from repro.analyze.taint import analyze_taint
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import SIM_SCOPES, rule
 from repro.lint.sources import ParsedFile
+
+JUSTIFIED_RULES = frozenset({
+    "identity-in-sim",
+    "unordered-into-sink",
+    "runtime-global-mutation",
+    "cross-network-mutation",
+})
+"""Rule ids whose suppression requires a justification comment."""
 
 _CACHE: dict[
     tuple, tuple[ProjectIndex, dict[str, EffectSet], PartitionReport]
@@ -49,6 +62,12 @@ def _analysis_for(
         _CACHE.clear()  # keep exactly the latest file set
         _CACHE[key] = hit
     return hit
+
+
+def manifest_for(files: dict[str, ParsedFile]) -> dict:
+    """Partition-safety manifest of ``files`` (analyze-manifest.json)."""
+    _index, _effects, partition = _analysis_for(files)
+    return manifest_dict(partition, SIM_SCOPES)
 
 
 def _sim_modules(index: ProjectIndex) -> list[str]:

@@ -1,18 +1,23 @@
 """Static analysis for simulator determinism and up*/down* model invariants.
 
-Two rule families, one engine:
+One engine, one front end, three rule kinds:
 
 * **code rules** (AST): seeded-randomness, wall-clock, blanket-except,
-  float-timestamp-equality, mutable-default, import-cycle checks over the
-  simulation packages -- the hazards that silently break reproducibility of
-  the paper's figures;
+  float-timestamp-equality, mutable-default, identity-in-sim checks over
+  the simulation packages -- the hazards that silently break
+  reproducibility of the paper's figures;
+* **project rules** (whole tree): import cycles plus the whole-program
+  analyzers of :mod:`repro.analyze` (determinism taint, partition safety),
+  whose classification is also diffed against ``analyze-manifest.json``;
 * **model rules** (semantic): extended channel-dependency-graph acyclicity,
-  reachability-string/BFS-tree consistency, path-plan up*/down* legality,
-  and header-capacity checks over generated or saved topologies -- the
+  reachability-string consistency, path-plan up*/down* legality, and
+  header-capacity checks over generated or saved topologies, plus the same
+  invariants at every routing epoch of each corpus fault schedule -- the
   invariants the paper's correctness argument names.
 
 Run ``python -m repro.lint src/repro`` (or the ``repro-lint`` script);
-suppress a finding in place with ``# lint: disable=<rule-id>``.
+suppress a finding in place with ``# lint: disable=<rule-id>``, followed by
+`` -- <why>`` for the whole-program analyzer rules.
 """
 
 from repro.lint.engine import LintResult, run_lint

@@ -6,6 +6,9 @@ Examples::
     repro-lint src/repro --json
     repro-lint src/repro --no-model
     repro-lint src/repro --topology topo.json --model-seeds 1,2,3,4
+    repro-lint src/repro --corpus tests/fuzz_corpus \
+        --manifest analyze-manifest.json
+    repro-lint src/repro --manifest analyze-manifest.json --write-manifest
     repro-lint --list-rules
 
 Exit status: 0 when no error-severity findings, 1 when there are findings,
@@ -35,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "Static analysis for simulator determinism and up*/down* "
-            "model invariants."
+            "Static analysis for simulator determinism, partition safety, "
+            "and up*/down* model invariants at every routing epoch."
         ),
     )
     parser.add_argument(
@@ -50,7 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-model",
         action="store_true",
-        help="skip the topology/routing model rules (code rules only)",
+        help=(
+            "skip the model phase: topology/routing model rules and corpus "
+            "epochs (code and project rules only)"
+        ),
     )
     parser.add_argument(
         "--model-seeds",
@@ -65,6 +71,26 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="FILE",
         help="also run model rules on a saved topology JSON (repeatable)",
+    )
+    parser.add_argument(
+        "--corpus",
+        action="append",
+        default=[],
+        metavar="DIR",
+        help=(
+            "verify every routing epoch of each fuzz/chaos corpus entry's "
+            "fault schedule (model phase; repeatable)"
+        ),
+    )
+    parser.add_argument(
+        "--manifest",
+        metavar="FILE",
+        help="partition-safety manifest to diff against a fresh regeneration",
+    )
+    parser.add_argument(
+        "--write-manifest",
+        action="store_true",
+        help="rewrite the --manifest file instead of diffing it",
     )
     parser.add_argument(
         "--list-rules",
@@ -94,6 +120,14 @@ def main(argv: list[str] | None = None) -> int:
         if not p.exists():
             print(f"no such file or directory: {p}", file=sys.stderr)
             return 2
+    corpus_dirs = [pathlib.Path(c) for c in args.corpus]
+    for c in corpus_dirs:
+        if not c.is_dir():
+            print(f"no such corpus directory: {c}", file=sys.stderr)
+            return 2
+    if args.write_manifest and args.manifest is None:
+        print("--write-manifest needs --manifest FILE", file=sys.stderr)
+        return 2
 
     try:
         result = run_lint(
@@ -101,6 +135,11 @@ def main(argv: list[str] | None = None) -> int:
             run_model=not args.no_model,
             model_seeds=args.model_seeds,
             topology_files=[pathlib.Path(t) for t in args.topology],
+            corpus_dirs=corpus_dirs,
+            manifest_path=(
+                None if args.manifest is None else pathlib.Path(args.manifest)
+            ),
+            write_manifest=args.write_manifest,
         )
     except (FileNotFoundError, LintUsageError) as exc:
         print(str(exc), file=sys.stderr)

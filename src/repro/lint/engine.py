@@ -1,27 +1,39 @@
-"""Lint engine: orchestrates rules over files and model contexts.
+"""Lint engine: orchestrates rules over files, model contexts and corpora.
 
 Importing this module registers every built-in rule (the rule modules
 register themselves on import).  :func:`run_lint` is the single entry point
-the CLI and the tests share.
+the CLI and the tests share.  One run
+
+1. parses the target files and runs every code and project rule over them,
+   the whole-program analyzers (:mod:`repro.analyze.rules`) included;
+2. applies ``# lint: disable=`` suppressions with statement anchoring, and
+   *requires a justification* (`` -- why``) on every suppression of a
+   rule in ``JUSTIFIED_RULES``: a bare one is itself a finding;
+3. regenerates the partition-safety manifest and, given a manifest path,
+   diffs it against that file (or rewrites it);
+4. in the model phase, checks the model rules on generated and saved
+   topologies and statically verifies every corpus entry's fault schedule
+   with the epoch-sequence verifier.
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
 from dataclasses import dataclass, field
 
 # Importing the rule modules populates the registry.  The analyze bridge
 # (repro.analyze.rules) also registers whole-program analyzers as lint
-# rules, but is imported lazily in run_lint(): repro.analyze itself imports
-# this package, so an eager import here would be circular.
+# rules, but is imported lazily in run_lint(): it imports this package
+# itself, so an eager import here would be circular.
 import repro.lint.code_rules  # noqa: F401
 import repro.lint.project_rules  # noqa: F401
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import CODE_RULES, PROJECT_RULES, rule_applies
 from repro.lint.sources import ParsedFile, collect_py_files, parse_file
 from repro.lint.suppress import (
-    is_suppressed,
-    parse_suppressions,
+    find_suppression,
+    parse_suppression_comments,
     statement_anchors,
 )
 
@@ -38,6 +50,9 @@ class LintResult:
     files_scanned: int = 0
     contexts_checked: int = 0
     suppressed: int = 0
+    manifest: dict = field(default_factory=dict)
+    epochs_verified: dict[str, int] = field(default_factory=dict)
+    """Corpus entry path -> number of routing epochs proven safe."""
 
     @property
     def errors(self) -> list[Finding]:
@@ -48,43 +63,124 @@ class LintResult:
         return 1 if self.errors else 0
 
 
-def _run_code_rules(
-    files: dict[str, ParsedFile], result: LintResult
-) -> None:
-    for pf in files.values():
-        suppressions = parse_suppressions(pf.source)
-        anchors = statement_anchors(pf.tree)
-        for r in CODE_RULES.values():
-            if not rule_applies(r, pf.scope):
-                continue
-            for finding in r.check(pf.tree, pf.path, pf.scope):
-                if is_suppressed(
-                    suppressions, finding.rule, finding.line, anchors
-                ):
-                    result.suppressed += 1
-                else:
-                    result.findings.append(finding)
+def render_manifest(manifest: dict) -> str:
+    """Canonical byte form of the manifest (what gets committed)."""
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
-def _run_project_rules(
-    files: dict[str, ParsedFile], result: LintResult
+def _apply_suppressions(
+    files: dict[str, ParsedFile],
+    findings: list[Finding],
+    justified: frozenset[str],
+    result: LintResult,
 ) -> None:
-    by_path_suppressions = {
-        pf.path: parse_suppressions(pf.source) for pf in files.values()
+    """Drop suppressed findings; flag bare suppressions of ``justified``."""
+    comments = {
+        pf.path: parse_suppression_comments(pf.source)
+        for pf in files.values()
     }
-    by_path_anchors = {
+    anchors = {
         pf.path: statement_anchors(pf.tree) for pf in files.values()
     }
-    for r in PROJECT_RULES.values():
-        for finding in r.check(files):
-            supp = by_path_suppressions.get(finding.path, {})
-            if is_suppressed(
-                supp, finding.rule, finding.line,
-                by_path_anchors.get(finding.path),
-            ):
-                result.suppressed += 1
-            else:
-                result.findings.append(finding)
+    unjustified: dict[tuple[str, int], Finding] = {}
+    for finding in findings:
+        matched = find_suppression(
+            comments.get(finding.path, {}), finding.rule, finding.line,
+            anchors.get(finding.path),
+        )
+        if matched is None:
+            result.findings.append(finding)
+            continue
+        result.suppressed += 1
+        line, supp = matched
+        if finding.rule in justified and supp.justification is None:
+            unjustified[(finding.path, line)] = Finding(
+                rule="unjustified-suppression",
+                severity=Severity.ERROR,
+                path=finding.path,
+                line=line,
+                col=0,
+                message=(
+                    f"suppression of {finding.rule} has no justification; "
+                    "append ' -- <why this is safe>' to the disable comment"
+                ),
+            )
+    result.findings.extend(unjustified.values())
+
+
+def _check_manifest(
+    manifest: dict,
+    manifest_path: pathlib.Path,
+    write: bool,
+    result: LintResult,
+) -> None:
+    fresh = render_manifest(manifest)
+    if write:
+        manifest_path.write_text(fresh, encoding="utf-8")
+        return
+    if not manifest_path.exists():
+        result.findings.append(Finding(
+            rule="manifest-missing",
+            severity=Severity.ERROR,
+            path=str(manifest_path),
+            line=0,
+            col=0,
+            message=(
+                "partition-safety manifest not found; generate it with "
+                "repro-lint --write-manifest and commit it"
+            ),
+        ))
+        return
+    committed = manifest_path.read_text(encoding="utf-8")
+    if committed != fresh:
+        result.findings.append(Finding(
+            rule="manifest-drift",
+            severity=Severity.ERROR,
+            path=str(manifest_path),
+            line=0,
+            col=0,
+            message=(
+                "committed manifest is not byte-identical to a fresh "
+                "regeneration; rerun repro-lint --write-manifest and "
+                "commit the result"
+            ),
+        ))
+
+
+def _verify_corpora(
+    corpus_dirs: list[pathlib.Path], result: LintResult
+) -> None:
+    from repro.analyze.epochs import verify_scenario_epochs
+    from repro.fuzz.corpus import corpus_files, load_entry
+
+    for directory in corpus_dirs:
+        for path in corpus_files(directory):
+            try:
+                scenario = load_entry(path)
+            except (ValueError, KeyError, TypeError, OSError) as exc:
+                result.findings.append(Finding(
+                    rule="epoch-corpus-unreadable",
+                    severity=Severity.ERROR,
+                    path=str(path),
+                    line=0,
+                    col=0,
+                    message=f"cannot load corpus entry: {exc}",
+                ))
+                continue
+            problems = verify_scenario_epochs(scenario)
+            for problem in problems:
+                result.findings.append(Finding(
+                    rule=f"epoch-{problem.kind}",
+                    severity=Severity.ERROR,
+                    path=str(path),
+                    line=0,
+                    col=0,
+                    message=problem.message(),
+                ))
+            if not problems:
+                result.epochs_verified[str(path)] = (
+                    len(scenario.fault_schedule) + 1
+                )
 
 
 def run_lint(
@@ -93,19 +189,26 @@ def run_lint(
     run_model: bool = True,
     model_seeds: tuple[int, ...] = (1, 2, 3),
     topology_files: list[pathlib.Path] | None = None,
+    corpus_dirs: list[pathlib.Path] | None = None,
+    manifest_path: pathlib.Path | None = None,
+    write_manifest: bool = False,
 ) -> LintResult:
     """Run every applicable rule; returns findings sorted by location.
 
     ``paths`` are files/directories for the code and project rules.  Model
     rules run over irregular topologies generated at ``model_seeds`` under
     the default parameters, plus any explicitly supplied topology JSON
-    files.  Model imports stay lazy so source-only linting never pulls in
-    the simulator.
+    files; ``corpus_dirs`` hold fuzz/chaos corpus entries whose fault
+    schedules the epoch-sequence verifier replays.  Both belong to the
+    model phase, which ``run_model=False`` skips.  With ``manifest_path``
+    the partition manifest is diffed against that file (or rewritten when
+    ``write_manifest`` is set).  Model imports stay lazy so source-only
+    linting never pulls in the simulator.
     """
     # Registers the whole-program analyzer rules (taint, partition safety)
     # so one lint invocation runs both passes; see the module docstring for
     # why this import cannot be top-level.
-    import repro.analyze.rules  # noqa: F401
+    from repro.analyze.rules import JUSTIFIED_RULES, manifest_for
 
     result = LintResult()
     files: dict[str, ParsedFile] = {}
@@ -125,8 +228,18 @@ def run_lint(
         files[pf.path] = pf
     result.files_scanned = len(files)
 
-    _run_code_rules(files, result)
-    _run_project_rules(files, result)
+    raw: list[Finding] = []
+    for pf in files.values():
+        for r in CODE_RULES.values():
+            if rule_applies(r, pf.scope):
+                raw.extend(r.check(pf.tree, pf.path, pf.scope))
+    for r in PROJECT_RULES.values():
+        raw.extend(r.check(files))
+    _apply_suppressions(files, raw, JUSTIFIED_RULES, result)
+
+    result.manifest = manifest_for(files)
+    if manifest_path is not None:
+        _check_manifest(result.manifest, manifest_path, write_manifest, result)
 
     if run_model:
         from repro.lint.model_rules import context_from_topology, default_contexts
@@ -153,6 +266,7 @@ def run_lint(
             for r in MODEL_RULES.values():
                 result.findings.extend(r.check(ctx))
         result.contexts_checked = len(contexts)
+        _verify_corpora(corpus_dirs or [], result)
 
     result.findings.sort(key=Finding.sort_key)
     return result

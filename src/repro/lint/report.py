@@ -8,6 +8,38 @@ from repro.lint.engine import LintResult
 from repro.lint.findings import Severity
 from repro.lint.registry import all_rules
 
+META_RULES: dict[str, str] = {
+    "parse-error": "every scanned file must parse as python",
+    "unjustified-suppression": (
+        "every suppression of a whole-program analyzer rule must say *why* "
+        "it is safe (append ' -- <reason>' to the disable comment)"
+    ),
+    "manifest-drift": (
+        "the committed analyze-manifest.json must be byte-identical to a "
+        "fresh regeneration"
+    ),
+    "manifest-missing": (
+        "the partition-safety manifest must exist and be committed"
+    ),
+    "epoch-cdg-cycle": (
+        "the multicast-extended channel dependency graph must stay acyclic "
+        "at every routing epoch a fault schedule reaches"
+    ),
+    "epoch-reachability": (
+        "down-port reachability strings must agree with the orientation's "
+        "witness (BFS subtrees, or DFS preorder labels) at every routing "
+        "epoch"
+    ),
+    "epoch-disconnect": (
+        "every scheduled fault must leave the switch graph connected "
+        "(otherwise reconfiguration cannot absorb it)"
+    ),
+    "epoch-corpus-unreadable": (
+        "every committed corpus entry must load as a valid scenario"
+    ),
+}
+"""Findings the engine emits itself (no registry entry)."""
+
 
 def render_text(result: LintResult) -> str:
     """Human-readable report: one line per finding plus a summary."""
@@ -16,9 +48,14 @@ def render_text(result: LintResult) -> str:
     n_warn = len(result.findings) - n_err
     summary = (
         f"{result.files_scanned} file(s), "
-        f"{result.contexts_checked} model context(s): "
-        f"{n_err} error(s), {n_warn} warning(s)"
+        f"{result.contexts_checked} model context(s)"
     )
+    if result.epochs_verified:
+        summary += (
+            f", {len(result.epochs_verified)} corpus entr(ies) / "
+            f"{sum(result.epochs_verified.values())} epoch(s) verified"
+        )
+    summary += f": {n_err} error(s), {n_warn} warning(s)"
     if result.suppressed:
         summary += f", {result.suppressed} suppressed"
     lines.append(summary)
@@ -39,6 +76,8 @@ def render_json(result: LintResult) -> str:
             ),
         },
         "findings": [f.to_json() for f in result.findings],
+        "manifest": result.manifest,
+        "epochs_verified": result.epochs_verified,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -58,4 +97,6 @@ def render_rule_list() -> str:
             f"  {r.description}\n"
             f"  why: {r.rationale}"
         )
+    for rule_id, description in sorted(META_RULES.items()):
+        blocks.append(f"{rule_id} [engine, error]\n  {description}")
     return "\n\n".join(blocks)

@@ -15,9 +15,9 @@ An optional justification follows the rule list after `` -- ``::
 
     full_key = (id(net), epoch, key)  # lint: disable=identity-in-sim -- key dies with net
 
-The analyzer front door (``repro-analyze``) *requires* the justification
-for its own rules; bare suppressions of analyze rules are themselves
-findings (``unjustified-suppression``).
+The whole-program analyzer rules (``JUSTIFIED_RULES`` in
+:mod:`repro.analyze.rules`) *require* the justification; the engine reports
+a bare suppression of one of them as ``unjustified-suppression``.
 """
 
 from __future__ import annotations
@@ -60,14 +60,6 @@ def parse_suppression_comments(source: str) -> dict[int, Suppression]:
     return out
 
 
-def parse_suppressions(source: str) -> dict[int, frozenset[str]]:
-    """Map 1-based line numbers to the rule ids disabled on that line."""
-    return {
-        lineno: supp.rules
-        for lineno, supp in parse_suppression_comments(source).items()
-    }
-
-
 def statement_anchors(tree: ast.Module) -> dict[int, int]:
     """Map every physical line to the first line of its innermost statement.
 
@@ -87,16 +79,17 @@ def statement_anchors(tree: ast.Module) -> dict[int, int]:
     return anchors
 
 
-def is_suppressed(
-    suppressions: dict[int, frozenset[str]],
+def find_suppression(
+    comments: dict[int, Suppression],
     rule_id: str,
     line: int,
     anchors: dict[int, int] | None = None,
-) -> bool:
-    """Whether ``rule_id`` is disabled on ``line``.
+) -> tuple[int, Suppression] | None:
+    """The disable comment silencing ``rule_id`` at ``line``, with its line.
 
     With ``anchors`` (from :func:`statement_anchors`), a disable comment on
     the first line of the statement containing ``line`` also counts.
+    Returns None when nothing suppresses the finding.
     """
     candidates = [line]
     if anchors is not None:
@@ -104,7 +97,7 @@ def is_suppressed(
         if first is not None and first != line:
             candidates.append(first)
     for cand in candidates:
-        rules = suppressions.get(cand)
-        if rules is not None and (rule_id in rules or "all" in rules):
-            return True
-    return False
+        supp = comments.get(cand)
+        if supp is not None and (rule_id in supp.rules or "all" in supp.rules):
+            return cand, supp
+    return None

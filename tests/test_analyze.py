@@ -12,13 +12,11 @@ import textwrap
 
 import pytest
 
-from repro.analyze import run_analysis
 from repro.analyze.epochs import verify_epoch_sequence
 from repro.lint import run_lint
 from repro.lint.suppress import (
-    is_suppressed,
+    find_suppression,
     parse_suppression_comments,
-    parse_suppressions,
     statement_anchors,
 )
 from repro.routing.bfs_tree import build_bfs_tree
@@ -35,7 +33,7 @@ def write_tree(root: pathlib.Path, files: dict[str, str]) -> pathlib.Path:
 
 
 def analyze(root: pathlib.Path):
-    return run_analysis([root])
+    return run_lint([root], run_model=False)
 
 
 def rules_found(result) -> set[str]:
@@ -279,14 +277,16 @@ class TestSuppressions:
         anchors = statement_anchors(ast.parse(source))
         assert anchors[1] == 1
         assert anchors[3] == 2 and anchors[4] == 2
-        supp = parse_suppressions(
+        comments = parse_suppression_comments(
             "x = 1\n"
             "y = (  # lint: disable=some-rule\n"
         )
-        assert supp == {2: frozenset({"some-rule"})}
-        assert is_suppressed(supp, "some-rule", 3, None) is False
-        assert is_suppressed(supp, "some-rule", 3, {3: 1}) is False
-        assert is_suppressed(supp, "some-rule", 3, anchors) is True
+        assert {n: s.rules for n, s in comments.items()} == \
+            {2: frozenset({"some-rule"})}
+        assert find_suppression(comments, "some-rule", 3, None) is None
+        assert find_suppression(comments, "some-rule", 3, {3: 1}) is None
+        assert find_suppression(comments, "some-rule", 3, anchors) == \
+            (2, comments[2])
 
     def test_justification_parsing(self):
         comments = parse_suppression_comments(
@@ -302,7 +302,7 @@ class TestSuppressions:
             def cache_key(net):
                 return id(net)  # lint: disable=identity-in-sim
         """})
-        result = analyze(root)
+        result = run_lint([root], run_model=False)
         assert [f.rule for f in result.findings] == \
             ["unjustified-suppression"]
         assert result.suppressed == 1
@@ -312,7 +312,7 @@ class TestSuppressions:
             def cache_key(net):
                 return id(net)  # lint: disable=identity-in-sim -- transient
         """})
-        result = analyze(root)
+        result = run_lint([root], run_model=False)
         assert result.findings == []
         assert result.suppressed == 1
 
