@@ -34,9 +34,9 @@ class QuantileDigest:
 
     __slots__ = ("_sorted", "_sum")
 
-    def __init__(self, values: list[float] | None = None) -> None:
-        self._sorted: list[float] = sorted(values) if values else []
-        self._sum: float = sum(self._sorted)
+    def __init__(self) -> None:
+        self._sorted: list[float] = []
+        self._sum: float = 0.0
 
     # ------------------------------------------------------------------
     # Streaming interface

@@ -1,10 +1,10 @@
 """Shared scenario builders for cross-validating the two simulation backends.
 
 The agreement suite (``tests/test_flitsim_crossvalidation.py``) and the
-backend benchmark (``benchmarks/bench_backends.py``) both need to run *one*
-scenario -- a set of worms, each with a start time, a source node and a
-destination set -- on both the worm-level event model and the flit-level
-reference simulator, and compare per-destination delivery times exactly.
+lane tests (``tests/test_vc_fabric.py``) both need to run *one* scenario --
+a set of worms, each with a start time, a source node and a destination
+set -- on both the worm-level event model and the flit-level reference
+simulator, and compare per-destination delivery times exactly.
 
 This module provides the common plumbing:
 

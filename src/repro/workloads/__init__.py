@@ -18,8 +18,9 @@ arriving as a sustained, *open-loop* stream with per-operation deadlines.
 
 The ``collective-load`` experiment
 (:mod:`repro.experiments.collective_load`) sweeps this engine over
-(scheme x collective x load) through the cell runner; ``benchmarks/
-bench_workloads.py`` pins the deterministic raw-speed trajectory.
+(scheme x collective x load) through the cell runner; the end-to-end
+benchmark's ``collective-mix`` workload (``benchmarks/e2e``) pins the
+engine's event counts.
 """
 
 from repro.workloads.arrivals import (

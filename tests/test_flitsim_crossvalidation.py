@@ -83,6 +83,18 @@ class TestContendedAgreement:
         fl = flit_unicast_delivery(topo, params, 0, 2, starts=[0, 0])
         assert ev == fl  # 137 and 266 (pipeline bubble included)
 
+    def test_staggered_unicasts_on_seeded_topology(self):
+        # Eight unicasts 40 cycles apart on the default 8-switch system
+        # (the second scenario DESIGN.md section 4.1 times).
+        from repro.sim.crossval import run_event_scenario, run_flit_scenario
+
+        params = SimParams(adaptive_routing=False)
+        topo = generate_irregular_topology(params, seed=3)
+        jobs = [(i * 40, i, (24 + i,)) for i in range(8)]
+        ev = run_event_scenario(topo, params, jobs)
+        assert len(ev) == len(jobs)
+        assert ev == run_flit_scenario(topo, params, jobs)
+
     @pytest.mark.parametrize("buffer_flits", [4, 64, 256])
     def test_blocked_worm_delivery_times_agree(self, buffer_flits):
         # Worm A (node1->node2) occupies sw1->sw2; worm B (node0->node2)
@@ -271,8 +283,8 @@ class TestSeededScenarioAgreement:
         self._assert_both_match(topo, params, jobs, golden)
 
     def test_seeded_16_switch_multidestination(self):
-        # The benchmark smoke scenario: 16 switches, four 4-destination
-        # worms with 512-flit packets over 64-flit buffers.
+        # The scenario DESIGN.md section 4.1 times: 16 switches, four
+        # 4-destination worms with 512-flit packets over 64-flit buffers.
         params = SimParams(
             adaptive_routing=False, num_switches=16, packet_flits=512
         )

@@ -391,11 +391,12 @@ class TestPairedChurn:
         else:
             assert rep.twin_replans == rep.events
 
-    def test_digest_replays_byte_identical(self):
+    @pytest.mark.parametrize("scheme", ["ni", "tree", "path"])
+    def test_digest_replays_byte_identical(self, scheme):
         kw = dict(seed=23, steps=20, group_size=4, churn_rate=0.6,
                   table_capacity=4)
-        a = run_paired_churn(SimParams(), "tree", **kw)
-        b = run_paired_churn(SimParams(), "tree", **kw)
+        a = run_paired_churn(SimParams(), scheme, **kw)
+        b = run_paired_churn(SimParams(), scheme, **kw)
         assert a.digest() == b.digest()
         assert a.to_value() == b.to_value()
 

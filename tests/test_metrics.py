@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.metrics.quantiles import QuantileDigest
 from repro.metrics.stats import LatencySummary, mean, percentile, summarize
 
 
@@ -63,3 +64,14 @@ class TestSummarize:
     def test_singleton_has_zero_sem(self):
         s = summarize([5.0])
         assert s.sem == 0.0 and s.ci95_halfwidth == 0.0
+
+
+class TestQuantileDigest:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sample_rejected(self, bad):
+        d = QuantileDigest()
+        d.add(1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            d.add(bad)
+        assert d.summary() == {"count": 1, "mean": 1.0, "p50": 1.0,
+                               "p99": 1.0, "p999": 1.0, "max": 1.0}
