@@ -3,8 +3,6 @@
 For every function in the :class:`~repro.analyze.project.ProjectIndex` this
 module computes an :class:`EffectSet`:
 
-* ``self_writes`` -- instance attributes assigned or mutated through the
-  receiver (``self.x = ...``, ``self.q.append(...)``);
 * ``class_writes`` -- class attributes assigned through a project class
   (``Cls.registry[...] = ...``);
 * ``global_writes`` -- module-level bindings assigned or mutated, in this
@@ -14,10 +12,12 @@ module computes an :class:`EffectSet`:
 * ``param_writes`` -- attribute stores on a *parameter* whose type resolves
   to a project class (``net.trace = ...``): mutation of caller-owned state.
 
-Effects are *direct*: each is charged to the function that performs the
-write, not to its callers.  The partition certifier walks the call graph
-itself (runner-cell reachability), so a write reachable from a cell is
-reported once, at the function that makes it.
+Writes through the receiver (``self.x = ...``) are the object's own state
+and are not recorded.  Effects are *direct*: each is charged to the
+function that performs the write, not to its callers.  The
+``runtime-global-mutation`` rule walks the call graph itself (runner-cell
+reachability), so a write reachable from a cell is reported once, at the
+function that makes it.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from repro.analyze.project import (
 @dataclass
 class EffectSet:
     """Mutation footprint of one function."""
-
-    self_writes: dict[str, int] = field(default_factory=dict)
-    """attr name -> first line it is written on."""
 
     class_writes: dict[str, int] = field(default_factory=dict)
     """``module:Cls.attr`` -> line."""
@@ -122,9 +119,6 @@ class _FunctionEffects:
         if root is None:
             return
         if root == self.receiver:
-            attr = self._receiver_attr(target)
-            if attr is not None:
-                self.effects.self_writes.setdefault(attr, lineno)
             return
         if root in self.param_types:
             attr = self._first_attr(target)
@@ -143,10 +137,6 @@ class _FunctionEffects:
             attr = self._first_attr(target) or "?"
             self.effects.class_writes.setdefault(
                 f"{cls_target}.{attr}", lineno)
-
-    def _receiver_attr(self, target: ast.AST) -> str | None:
-        """``self.X...`` -> ``X`` (the instance attribute being touched)."""
-        return self._first_attr(target)
 
     def _first_attr(self, target: ast.AST) -> str | None:
         """First attribute hop off the root name (``a.x[0].y`` -> ``x``)."""
@@ -217,9 +207,6 @@ class _FunctionEffects:
         if root is None:
             return
         if root == self.receiver:
-            attr = self._first_attr(func.value)
-            if attr is not None:
-                self.effects.self_writes.setdefault(attr, node.lineno)
             return
         if root in self.param_types:
             attr = self._first_attr(func.value)
@@ -238,58 +225,3 @@ def infer_effects(index: ProjectIndex) -> dict[str, EffectSet]:
         qual: _FunctionEffects(index, index.functions[qual]).run()
         for qual in sorted(index.functions)
     }
-
-
-def runtime_mutating_methods(
-    index: ProjectIndex, direct: dict[str, EffectSet]
-) -> dict[str, set[str]]:
-    """Per class, the instance-mutating methods reachable outside construction.
-
-    A class is *runtime-mutating* when some non-constructor public entry
-    point (any method whose name does not start with ``_`` and is not
-    ``__init__``/``__post_init__``, nor a classmethod factory) can --
-    directly or through intra-class private calls -- write ``self.*``.
-    Classes whose every self-write is confined to construction can be
-    shared read-only across partitions once built.
-    """
-    out: dict[str, set[str]] = {}
-    for cls_qual in sorted(index.classes):
-        cls = index.classes[cls_qual]
-        ctor_family = {"__init__", "__post_init__", "__new__"}
-        entries = [
-            m for m in sorted(cls.methods)
-            if m not in ctor_family
-            and not m.startswith("_")
-            and not cls.methods[m].is_classmethod
-            and not cls.methods[m].is_property
-        ]
-        mutating: set[str] = set()
-        for entry_name in entries:
-            seen: set[str] = set()
-            stack = [cls.methods[entry_name].qual]
-            writes = False
-            while stack and not writes:
-                qual = stack.pop()
-                if qual in seen:
-                    continue
-                seen.add(qual)
-                eff = direct.get(qual)
-                fn = index.functions.get(qual)
-                if eff is not None and eff.self_writes and fn is not None \
-                        and fn.cls == cls.name and fn.module == cls.module:
-                    writes = True
-                    break
-                # Follow same-class calls only: other receivers are other
-                # objects' state, charged to their own classes.
-                for site in index.calls.get(qual, ()):
-                    if site.callee is None:
-                        continue
-                    callee = index.functions.get(site.callee)
-                    if callee is not None and callee.cls == cls.name \
-                            and callee.module == cls.module:
-                        stack.append(site.callee)
-            if writes:
-                mutating.add(entry_name)
-        if mutating:
-            out[cls_qual] = mutating
-    return out

@@ -2,8 +2,8 @@
 
 The lint engine hands rules one parsed file at a time; the analyzers in this
 package need to answer questions that span files -- "who calls whom", "which
-name is a module-level mutable object", "what class is this variable an
-instance of".  :class:`ProjectIndex` answers them from the same
+name is a module-level binding", "what class is this variable an instance
+of".  :class:`ProjectIndex` answers them from the same
 :class:`~repro.lint.sources.ParsedFile` inputs the lint engine already
 produces, so every analyzer rule of one lint run shares one index.
 
@@ -23,32 +23,12 @@ from dataclasses import dataclass, field
 
 from repro.lint.sources import ParsedFile
 
-MUTABLE_CTORS = {
-    "list", "dict", "set", "defaultdict", "OrderedDict", "deque",
-    "Counter", "WeakKeyDictionary", "ContextVar",
-}
-"""Constructor names whose result is a mutable (or settable) object."""
-
 MUTATING_METHODS = {
     "append", "extend", "insert", "add", "update", "setdefault", "pop",
     "popitem", "remove", "discard", "clear", "appendleft", "extendleft",
     "popleft", "set", "sort", "reverse",
 }
 """Method names that mutate their receiver in place."""
-
-
-def is_mutable_literal(node: ast.AST) -> bool:
-    """Whether a module-level binding's value is a mutable container."""
-    if isinstance(node, (ast.List, ast.Dict, ast.Set,
-                         ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        name = dotted_name(node.func)
-        return (
-            name is not None
-            and name.rsplit(".", 1)[-1] in MUTABLE_CTORS
-        )
-    return False
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -107,12 +87,6 @@ class GlobalInfo:
     module: str
     name: str
     lineno: int
-    mutable: bool
-    """Whether the bound value is a mutable container (or re-assignable
-    coordination object like a ContextVar)."""
-
-    value_repr: str
-    """Short source-ish description of the bound value (for reports)."""
 
 
 @dataclass
@@ -255,8 +229,7 @@ class ProjectIndex:
         self, entry: ModuleEntry, node: ast.Assign | ast.AnnAssign
     ) -> None:
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        value = node.value
-        if value is None:
+        if node.value is None:
             return
         for t in targets:
             if not isinstance(t, ast.Name):
@@ -266,8 +239,6 @@ class ProjectIndex:
                 module=entry.name,
                 name=t.id,
                 lineno=node.lineno,
-                mutable=is_mutable_literal(value),
-                value_repr=type(value).__name__,
             )
 
     # ------------------------------------------------------------------

@@ -13,8 +13,15 @@ registry, so they share its rule ids, severities, and suppressions:
 
 The three project rules share one :class:`ProjectIndex` + effects pass per
 file set (cached on source content), so registering them adds a single
-whole-program walk to a lint run, not three.  The same pass yields the
-partition-safety manifest (:func:`manifest_for`).
+whole-program walk to a lint run, not three.
+
+The last two rules guard cell isolation.  The cell runner
+(:mod:`repro.experiments.runner`) fans independent simulation cells over a
+process pool, each cell building its own :class:`SimNetwork` +
+:class:`Engine` pair, and promises output byte-identical at every
+``--jobs`` count.  That holds only while the code a cell executes reaches
+no state another cell can see: module-level objects, class variables, or
+a network it does not own.
 """
 
 from __future__ import annotations
@@ -22,11 +29,6 @@ from __future__ import annotations
 import ast
 
 from repro.analyze.effects import EffectSet, infer_effects
-from repro.analyze.partition import (
-    PartitionReport,
-    certify_partition_safety,
-    manifest_dict,
-)
 from repro.analyze.project import ProjectIndex, dotted_name
 from repro.analyze.taint import analyze_taint
 from repro.lint.findings import Finding, Severity
@@ -41,33 +43,47 @@ JUSTIFIED_RULES = frozenset({
 })
 """Rule ids whose suppression requires a justification comment."""
 
-_CACHE: dict[
-    tuple, tuple[ProjectIndex, dict[str, EffectSet], PartitionReport]
-] = {}
+ROOT_SUFFIXES = (
+    "experiments.runner:run_cell",
+    "traffic.single:average_single_multicast_latency",
+    "traffic.load:run_load_experiment",
+    "traffic.load:sweep_load",
+    "traffic.background:multicast_under_background",
+)
+"""Call-graph roots that define "runner-cell-reachable".  Matched by
+suffix so planted-violation fixture trees (whose modules are rooted at a
+tmp dir, not at ``repro``) resolve the same way."""
+
+ALLOWED_GLOBAL_WRITES = (
+    "experiments.runner:_CONTEXT",
+)
+"""Sanctioned module-level writes: the ExecutionContext contextvar is the
+one blessed cross-cell coordination channel."""
+
+SIM_STATE_CLASSES = ("SimNetwork", "Engine")
+"""Classes whose instances belong to exactly one cell."""
+
+OBSERVER_SLOTS = {"trace", "worm_log"}
+"""SimNetwork attributes documented as caller-assignable observer hooks
+(a TraceLog / worm log is attached by the harness that owns the net)."""
+
+_CACHE: dict[tuple, tuple[ProjectIndex, dict[str, EffectSet]]] = {}
 
 
 def _analysis_for(
     files: dict[str, ParsedFile],
-) -> tuple[ProjectIndex, dict[str, EffectSet], PartitionReport]:
-    """One shared index/effects/partition pass per distinct file set."""
+) -> tuple[ProjectIndex, dict[str, EffectSet]]:
+    """One shared index/effects pass per distinct file set."""
     key = tuple(sorted(
         (pf.path, hash(pf.source)) for pf in files.values()
     ))
     hit = _CACHE.get(key)
     if hit is None:
         index = ProjectIndex.build(files)
-        effects = infer_effects(index)
-        partition = certify_partition_safety(index, effects, SIM_SCOPES)
-        hit = (index, effects, partition)
+        hit = (index, infer_effects(index))
         _CACHE.clear()  # keep exactly the latest file set
         _CACHE[key] = hit
     return hit
-
-
-def manifest_for(files: dict[str, ParsedFile]) -> dict:
-    """Partition-safety manifest of ``files`` (analyze-manifest.json)."""
-    _index, _effects, partition = _analysis_for(files)
-    return manifest_dict(partition, SIM_SCOPES)
 
 
 def _sim_modules(index: ProjectIndex) -> list[str]:
@@ -146,7 +162,7 @@ def check_identity_in_sim(
     ),
 )
 def check_unordered_into_sink(files: dict[str, ParsedFile]) -> list[Finding]:
-    index, _effects, _partition = _analysis_for(files)
+    index, _effects = _analysis_for(files)
     return [
         Finding(
             rule="unordered-into-sink",
@@ -161,7 +177,7 @@ def check_unordered_into_sink(files: dict[str, ParsedFile]) -> list[Finding]:
 
 
 # ----------------------------------------------------------------------
-# partition-safety rules (project)
+# cell-isolation rules (project)
 # ----------------------------------------------------------------------
 @rule(
     "runtime-global-mutation",
@@ -171,29 +187,54 @@ def check_unordered_into_sink(files: dict[str, ParsedFile]) -> list[Finding]:
         "state (outside the ExecutionContext API)"
     ),
     rationale=(
-        "the cell runner executes cells in parallel and promises output "
-        "byte-identical at every --jobs count; module globals are "
-        "process-shared, so a runner-reachable write is a data race the "
-        "moment cells run in threads, and leaks state between cells that "
-        "share a worker process."
+        "the cell runner fans cells over a process pool and promises "
+        "output byte-identical at every --jobs count; cells never run in "
+        "threads, but a worker process runs many cells in turn, so a "
+        "runner-reachable write to a module global or class variable leaks "
+        "state from one cell into the next cell of the same worker."
     ),
 )
 def check_runtime_global_mutation(
     files: dict[str, ParsedFile],
 ) -> list[Finding]:
-    _index, _effects, partition = _analysis_for(files)
-    return [
-        Finding(
-            rule="runtime-global-mutation",
-            severity=Severity.ERROR,
-            path=v.path,
-            line=v.line,
-            col=0,
-            message=v.message(),
-        )
-        for v in partition.violations
-        if v.kind == "runtime-global-mutation"
-    ]
+    """Charged to the function whose *direct* effects perform the write
+    (its callers would all repeat the finding at a less actionable line)."""
+    index, effects = _analysis_for(files)
+    roots = sorted(
+        qual for qual in index.functions
+        if any(qual.endswith(suffix) for suffix in ROOT_SUFFIXES)
+    )
+    reachable = index.reachable_from(roots)
+    findings: list[Finding] = []
+    for qual in sorted(reachable):
+        # reachable_from can surface class quals (constructor calls on
+        # classes without an __init__, e.g. dataclasses); only functions
+        # have effects.
+        fn = index.functions.get(qual)
+        eff = effects.get(qual)
+        if fn is None or eff is None:
+            continue
+        shared = dict(eff.global_writes)
+        shared.update(eff.class_writes)
+        for target in sorted(shared):
+            if any(target.endswith(sfx) for sfx in ALLOWED_GLOBAL_WRITES):
+                continue
+            findings.append(Finding(
+                rule="runtime-global-mutation",
+                severity=Severity.ERROR,
+                path=fn.path,
+                line=shared[target],
+                col=0,
+                message=(
+                    f"{qual.split(':')[-1]}() is reachable from "
+                    f"{reachable[qual].split(':')[-1]}() and mutates "
+                    f"module-level state {target}; the next cell in the "
+                    "same worker process would see the write -- move it "
+                    "onto an instance the cell owns or route it through "
+                    "ExecutionContext"
+                ),
+            ))
+    return findings
 
 
 @rule(
@@ -204,24 +245,43 @@ def check_runtime_global_mutation(
         "they are handed (observer slots trace/worm_log excepted)"
     ),
     rationale=(
-        "a SimNetwork belongs to exactly one partition; measurement and "
-        "planning code writing it from outside the sim layer is a "
-        "cross-partition write that breaks the isolation of parallel cells."
+        "a SimNetwork belongs to the one cell that built it, and its state "
+        "is the sim layer's to change (chaos reconfigures the network it "
+        "is handed); measurement and planning code writing it from outside "
+        "breaks the isolation each cell's byte-identical output rests on."
     ),
 )
 def check_cross_network_mutation(
     files: dict[str, ParsedFile],
 ) -> list[Finding]:
-    _index, _effects, partition = _analysis_for(files)
-    return [
-        Finding(
-            rule="cross-network-mutation",
-            severity=Severity.ERROR,
-            path=v.path,
-            line=v.line,
-            col=0,
-            message=v.message(),
-        )
-        for v in partition.violations
-        if v.kind == "cross-network-mutation"
-    ]
+    """Attribute stores on SimNetwork/Engine-typed parameters outside the
+    sim and chaos scopes."""
+    index, effects = _analysis_for(files)
+    findings: list[Finding] = []
+    for qual in sorted(index.functions):
+        fn = index.functions[qual]
+        entry = index.modules.get(fn.module)
+        if entry is not None and entry.scope in ("sim", "chaos"):
+            continue
+        eff = effects.get(qual)
+        if eff is None:
+            continue
+        for target in sorted(eff.param_writes):
+            cls_qual, _, attr = target.rpartition(".")
+            if cls_qual.split(":")[-1] not in SIM_STATE_CLASSES:
+                continue
+            if attr in OBSERVER_SLOTS:
+                continue
+            findings.append(Finding(
+                rule="cross-network-mutation",
+                severity=Severity.ERROR,
+                path=fn.path,
+                line=eff.param_writes[target],
+                col=0,
+                message=(
+                    f"{qual.split(':')[-1]}() mutates {target} on a "
+                    "parameter from outside the sim layer; only the sim "
+                    "and chaos layers may write a SimNetwork/Engine"
+                ),
+            ))
+    return findings

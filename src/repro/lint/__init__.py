@@ -7,8 +7,7 @@ One engine, one front end, three rule kinds:
   the simulation packages -- the hazards that silently break
   reproducibility of the paper's figures;
 * **project rules** (whole tree): import cycles plus the whole-program
-  analyzers of :mod:`repro.analyze` (determinism taint, partition safety),
-  whose classification is also diffed against ``analyze-manifest.json``;
+  analyzers of :mod:`repro.analyze` (determinism taint, cell isolation);
 * **model rules** (semantic): extended channel-dependency-graph acyclicity,
   reachability-string consistency, path-plan up*/down* legality, and
   header-capacity checks over generated or saved topologies, plus the same

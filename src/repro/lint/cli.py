@@ -6,9 +6,7 @@ Examples::
     repro-lint src/repro --json
     repro-lint src/repro --no-model
     repro-lint src/repro --topology topo.json --model-seeds 1,2,3,4
-    repro-lint src/repro --corpus tests/fuzz_corpus \
-        --manifest analyze-manifest.json
-    repro-lint src/repro --manifest analyze-manifest.json --write-manifest
+    repro-lint src/repro --corpus tests/fuzz_corpus
     repro-lint --list-rules
 
 Exit status: 0 when no error-severity findings, 1 when there are findings,
@@ -38,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "Static analysis for simulator determinism, partition safety, "
+            "Static analysis for simulator determinism, cell isolation, "
             "and up*/down* model invariants at every routing epoch."
         ),
     )
@@ -83,16 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--manifest",
-        metavar="FILE",
-        help="partition-safety manifest to diff against a fresh regeneration",
-    )
-    parser.add_argument(
-        "--write-manifest",
-        action="store_true",
-        help="rewrite the --manifest file instead of diffing it",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="describe every rule and its rationale, then exit",
@@ -125,9 +113,6 @@ def main(argv: list[str] | None = None) -> int:
         if not c.is_dir():
             print(f"no such corpus directory: {c}", file=sys.stderr)
             return 2
-    if args.write_manifest and args.manifest is None:
-        print("--write-manifest needs --manifest FILE", file=sys.stderr)
-        return 2
 
     try:
         result = run_lint(
@@ -136,10 +121,6 @@ def main(argv: list[str] | None = None) -> int:
             model_seeds=args.model_seeds,
             topology_files=[pathlib.Path(t) for t in args.topology],
             corpus_dirs=corpus_dirs,
-            manifest_path=(
-                None if args.manifest is None else pathlib.Path(args.manifest)
-            ),
-            write_manifest=args.write_manifest,
         )
     except (FileNotFoundError, LintUsageError) as exc:
         print(str(exc), file=sys.stderr)

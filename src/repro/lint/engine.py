@@ -9,16 +9,13 @@ the CLI and the tests share.  One run
 2. applies ``# lint: disable=`` suppressions with statement anchoring, and
    *requires a justification* (`` -- why``) on every suppression of a
    rule in ``JUSTIFIED_RULES``: a bare one is itself a finding;
-3. regenerates the partition-safety manifest and, given a manifest path,
-   diffs it against that file (or rewrites it);
-4. in the model phase, checks the model rules on generated and saved
+3. in the model phase, checks the model rules on generated and saved
    topologies and statically verifies every corpus entry's fault schedule
    with the epoch-sequence verifier.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 from dataclasses import dataclass, field
 
@@ -50,7 +47,6 @@ class LintResult:
     files_scanned: int = 0
     contexts_checked: int = 0
     suppressed: int = 0
-    manifest: dict = field(default_factory=dict)
     epochs_verified: dict[str, int] = field(default_factory=dict)
     """Corpus entry path -> number of routing epochs proven safe."""
 
@@ -61,11 +57,6 @@ class LintResult:
     @property
     def exit_code(self) -> int:
         return 1 if self.errors else 0
-
-
-def render_manifest(manifest: dict) -> str:
-    """Canonical byte form of the manifest (what gets committed)."""
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 def _apply_suppressions(
@@ -106,45 +97,6 @@ def _apply_suppressions(
                 ),
             )
     result.findings.extend(unjustified.values())
-
-
-def _check_manifest(
-    manifest: dict,
-    manifest_path: pathlib.Path,
-    write: bool,
-    result: LintResult,
-) -> None:
-    fresh = render_manifest(manifest)
-    if write:
-        manifest_path.write_text(fresh, encoding="utf-8")
-        return
-    if not manifest_path.exists():
-        result.findings.append(Finding(
-            rule="manifest-missing",
-            severity=Severity.ERROR,
-            path=str(manifest_path),
-            line=0,
-            col=0,
-            message=(
-                "partition-safety manifest not found; generate it with "
-                "repro-lint --write-manifest and commit it"
-            ),
-        ))
-        return
-    committed = manifest_path.read_text(encoding="utf-8")
-    if committed != fresh:
-        result.findings.append(Finding(
-            rule="manifest-drift",
-            severity=Severity.ERROR,
-            path=str(manifest_path),
-            line=0,
-            col=0,
-            message=(
-                "committed manifest is not byte-identical to a fresh "
-                "regeneration; rerun repro-lint --write-manifest and "
-                "commit the result"
-            ),
-        ))
 
 
 def _verify_corpora(
@@ -190,8 +142,6 @@ def run_lint(
     model_seeds: tuple[int, ...] = (1, 2, 3),
     topology_files: list[pathlib.Path] | None = None,
     corpus_dirs: list[pathlib.Path] | None = None,
-    manifest_path: pathlib.Path | None = None,
-    write_manifest: bool = False,
 ) -> LintResult:
     """Run every applicable rule; returns findings sorted by location.
 
@@ -200,15 +150,13 @@ def run_lint(
     the default parameters, plus any explicitly supplied topology JSON
     files; ``corpus_dirs`` hold fuzz/chaos corpus entries whose fault
     schedules the epoch-sequence verifier replays.  Both belong to the
-    model phase, which ``run_model=False`` skips.  With ``manifest_path``
-    the partition manifest is diffed against that file (or rewritten when
-    ``write_manifest`` is set).  Model imports stay lazy so source-only
-    linting never pulls in the simulator.
+    model phase, which ``run_model=False`` skips.  Model imports stay lazy
+    so source-only linting never pulls in the simulator.
     """
-    # Registers the whole-program analyzer rules (taint, partition safety)
+    # Registers the whole-program analyzer rules (taint, cell isolation)
     # so one lint invocation runs both passes; see the module docstring for
     # why this import cannot be top-level.
-    from repro.analyze.rules import JUSTIFIED_RULES, manifest_for
+    from repro.analyze.rules import JUSTIFIED_RULES
 
     result = LintResult()
     files: dict[str, ParsedFile] = {}
@@ -236,10 +184,6 @@ def run_lint(
     for r in PROJECT_RULES.values():
         raw.extend(r.check(files))
     _apply_suppressions(files, raw, JUSTIFIED_RULES, result)
-
-    result.manifest = manifest_for(files)
-    if manifest_path is not None:
-        _check_manifest(result.manifest, manifest_path, write_manifest, result)
 
     if run_model:
         from repro.lint.model_rules import context_from_topology, default_contexts

@@ -14,13 +14,6 @@ META_RULES: dict[str, str] = {
         "every suppression of a whole-program analyzer rule must say *why* "
         "it is safe (append ' -- <reason>' to the disable comment)"
     ),
-    "manifest-drift": (
-        "the committed analyze-manifest.json must be byte-identical to a "
-        "fresh regeneration"
-    ),
-    "manifest-missing": (
-        "the partition-safety manifest must exist and be committed"
-    ),
     "epoch-cdg-cycle": (
         "the multicast-extended channel dependency graph must stay acyclic "
         "at every routing epoch a fault schedule reaches"
@@ -76,7 +69,6 @@ def render_json(result: LintResult) -> str:
             ),
         },
         "findings": [f.to_json() for f in result.findings],
-        "manifest": result.manifest,
         "epochs_verified": result.epochs_verified,
     }
     return json.dumps(payload, indent=2, sort_keys=True)

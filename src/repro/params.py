@@ -21,6 +21,7 @@ The paper's defaults, as reconstructed:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -165,10 +166,13 @@ class SimParams:
             raise ValueError("o_host must be non-negative")
         if self.o_ni_per_packet < 0:
             raise ValueError("o_ni_per_packet must be non-negative")
-        if self.ratio_r <= 0:
-            raise ValueError("R must be positive")
-        if self.io_bus_flits_per_cycle <= 0:
-            raise ValueError("I/O bus bandwidth must be positive")
+        if not 0 < self.ratio_r < math.inf:
+            raise ValueError(f"R must be finite and positive, got {self.ratio_r}")
+        if not 0 < self.io_bus_flits_per_cycle < math.inf:
+            raise ValueError(
+                "I/O bus bandwidth must be finite and positive, got "
+                f"{self.io_bus_flits_per_cycle}"
+            )
         if min(self.link_delay, self.switch_delay, self.routing_delay) < 0:
             raise ValueError("delays must be non-negative")
         if self.routing_tree not in ("bfs", "dfs"):

@@ -9,7 +9,8 @@ Times are integers (cycles) by convention, though the engine itself accepts
 floats (the I/O-bus DMA model produces fractional completion times).
 
 The clock only moves forward: scheduling in the past (``at``/``after``) and
-running "until" a time before ``now`` both raise ``ValueError``, and the
+running "until" a time before ``now`` both raise ``ValueError`` (NaN
+included: each guard is written ``not x >= bound``), and the
 ``max_events`` safety valve stops after firing exactly that many events.
 """
 
@@ -37,14 +38,14 @@ class Engine:
         Scheduling in the past raises ``ValueError`` -- it always indicates a
         modelling bug and silently clamping would corrupt causality.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, fn))
 
     def after(self, delay: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` to fire ``delay`` cycles from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"negative delay {delay}")
         self.at(self.now + delay, fn)
 
@@ -61,12 +62,10 @@ class Engine:
                 ``ValueError`` rather than silently rewinding the clock.
             max_events: safety valve against runaway simulations; fires at
                 most ``max_events`` events and raises ``RuntimeError`` if
-                more remain (a deadlock in the modelled system would
-                otherwise spin silently... actually a true deadlock drains
-                the queue -- this guards infinite event loops such as
-                zero-delay retry cycles).
+                more remain.  This guards infinite event loops such as
+                zero-delay retry cycles.
         """
-        if until is not None and until < self.now:
+        if until is not None and not until >= self.now:
             raise ValueError(f"cannot run until {until} < now {self.now}")
         fired = 0
         while self._heap:
@@ -94,7 +93,7 @@ class Engine:
         exactly as a bounded :meth:`run` would leave it, so a caller
         stepping toward a time bound neither rewinds nor overshoots it.
         """
-        if until is not None and until < self.now:
+        if until is not None and not until >= self.now:
             raise ValueError(f"cannot step until {until} < now {self.now}")
         if not self._heap:
             if until is not None:

@@ -1,5 +1,7 @@
 """Unit tests for the event engine and contention resources."""
 
+import math
+
 import pytest
 
 from repro.sim.engine import Engine
@@ -40,6 +42,12 @@ class TestEngine:
             eng.at(5, lambda: None)
         with pytest.raises(ValueError):
             eng.after(-1, lambda: None)
+        # NaN compares False against everything: it must not slip past.
+        with pytest.raises(ValueError):
+            eng.at(math.nan, lambda: None)
+        with pytest.raises(ValueError):
+            eng.after(math.nan, lambda: None)
+        assert eng.pending == 0 and eng.now == 10
 
     def test_run_until_stops_clock(self):
         eng = Engine()
@@ -93,6 +101,10 @@ class TestEngine:
         with pytest.raises(ValueError, match="cannot run"):
             eng.run(until=5)  # pending-event branch
         assert eng.now == 10  # clock untouched by the rejected calls
+        with pytest.raises(ValueError, match="cannot run"):
+            eng.run(until=math.nan)
+        with pytest.raises(ValueError, match="cannot step"):
+            eng.step(until=math.nan)
         eng.run(until=10)  # until == now is a legal no-op
         assert eng.now == 10
 

@@ -6,8 +6,6 @@ import textwrap
 
 from repro.lint.cli import main
 
-REPO = pathlib.Path(__file__).resolve().parents[1]
-
 
 def plant_violation(tmp_path: pathlib.Path) -> pathlib.Path:
     d = tmp_path / "sim"
@@ -90,9 +88,8 @@ def test_list_rules_names_every_family(capsys):
         "identity-in-sim", "unordered-into-sink", "runtime-global-mutation",
         "cross-network-mutation",
         # findings the engine emits itself
-        "parse-error", "unjustified-suppression", "manifest-drift",
-        "manifest-missing", "epoch-cdg-cycle", "epoch-reachability",
-        "epoch-disconnect", "epoch-corpus-unreadable",
+        "parse-error", "unjustified-suppression", "epoch-cdg-cycle",
+        "epoch-reachability", "epoch-disconnect", "epoch-corpus-unreadable",
     ):
         assert rule_id in headers
 
@@ -103,38 +100,3 @@ def test_missing_corpus_dir_usage_error(tmp_path, capsys):
     code = main([str(d), "--corpus", str(tmp_path / "nope")])
     assert code == 2
     assert "no such corpus directory" in capsys.readouterr().err
-
-
-def test_write_manifest_needs_a_manifest_path(tmp_path, capsys):
-    d = tmp_path / "sim"
-    d.mkdir()
-    assert main([str(d), "--no-model", "--write-manifest"]) == 2
-    assert "--manifest" in capsys.readouterr().err
-
-
-def test_written_manifest_round_trips(tmp_path, capsys):
-    d = plant_violation(tmp_path)
-    manifest = tmp_path / "manifest.json"
-    main([str(d), "--no-model", "--manifest", str(manifest),
-          "--write-manifest"])
-    written = manifest.read_text()
-    assert json.loads(written)["modules"]
-    capsys.readouterr()
-    main([str(d), "--no-model", "--manifest", str(manifest), "--json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert [f["rule"] for f in payload["findings"]] == ["wall-clock"]
-    assert manifest.read_text() == written
-
-
-def test_one_changed_manifest_byte_is_drift(tmp_path, capsys):
-    committed = (REPO / "analyze-manifest.json").read_bytes()
-    i = committed.index(b"partition-local")
-    tampered = tmp_path / "analyze-manifest.json"
-    tampered.write_bytes(committed[:i] + b"P" + committed[i + 1:])
-    code = main([
-        str(REPO / "src" / "repro"), "--no-model",
-        "--manifest", str(tampered), "--json",
-    ])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert [f["rule"] for f in payload["findings"]] == ["manifest-drift"]

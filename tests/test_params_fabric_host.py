@@ -1,6 +1,8 @@
 """Unit tests for SimParams validation, the fabric wiring, and host
 primitives."""
 
+import math
+
 import pytest
 
 from repro.params import DEFAULT_PARAMS, SimParams
@@ -46,6 +48,12 @@ class TestSimParams:
             {"link_delay": -1},
             {"input_buffer_flits": 0},
             {"routing_tree": "xyz"},
+            {"ratio_r": math.nan},
+            {"ratio_r": math.inf},
+            {"ratio_r": -math.inf},
+            {"io_bus_flits_per_cycle": math.nan},
+            {"io_bus_flits_per_cycle": math.inf},
+            {"io_bus_flits_per_cycle": -math.inf},
         ],
     )
     def test_validate_rejects(self, kw):
