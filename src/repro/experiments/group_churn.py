@@ -4,17 +4,18 @@ The paper's experiments fix each multicast's destination set for the whole
 run; this sweep asks what the NI-vs-switch comparison looks like when the
 *group itself* is the moving part.  Each cell drives one seeded join/leave
 stream (churn rate x group size) through a paired run
-(:func:`repro.groups.churn.run_paired_churn`): a patched group that
-grafts/prunes its plan and a twin that replans on every change.  The
-pairing is exact -- both sides share the topology, the stream, and the
-network -- so the reported replan fraction and patched-vs-fresh cost
-ratio are measured, not sampled.
+(:func:`repro.groups.churn.run_paired_churn`): a patched group (path plans
+graft/prune; tree plans replan on every change, so the tree curves sit at
+1.0) and a twin that replans on every change.  The pairing is exact --
+both sides share the topology, the stream, and the network -- so the
+reported replan fraction and patched-vs-fresh cost ratio are measured,
+not sampled.
 
 One curve per (scheme, group size), replan fraction over churn rate.
 Per-point ``meta`` carries the delivery-identity verdict, the legality
 verify count, the cost ratios, the switch multicast-table stats (charged
 to switch-based schemes only), and the run's replayable digest -- the
-acceptance surface for the repair layer's <=20%-replans contract.
+acceptance surface for path repair's <=20%-replans contract.
 """
 
 from __future__ import annotations

@@ -191,9 +191,9 @@ def run_cell(cell: Cell) -> dict:
     if cell.kind == "churn":
         from repro.groups import run_paired_churn
 
-        # One paired churn run: a patched (graft/prune) dynamic group and a
-        # replan-every-change twin driven through one seeded membership
-        # stream.  The seed key excludes the scheme (the pairing rule), so
+        # One paired churn run: a repairing group (path plans graft/prune,
+        # tree plans replan) and a replan-every-change twin driven through
+        # one seeded membership stream.  The seed key excludes the scheme (the pairing rule), so
         # every scheme sees the identical topology and churn decisions.
         report = run_paired_churn(
             cell.params,

@@ -50,11 +50,11 @@ every fuzz scenario:
   skipped), no send gives up (exactly-once-after-retry), and a second run
   of the same seed + schedule produces a byte-identical trace digest;
 * **churn** -- for scenarios with a membership churn stream
-  (:mod:`repro.groups`): a graft/prune-patched dynamic group and a
-  replan-every-change twin are driven through the same join/leave ops,
+  (:mod:`repro.groups`): a repairing group (path plans graft/prune) and
+  a replan-every-change twin are driven through the same join/leave ops,
   and after every op both must deliver exactly the current member set
   (exactly-once under churn), with every accepted patch passing the
-  static plan verifiers;
+  static path-plan verifier;
 * **collectives** -- for scenarios with an open-loop collective admission
   schedule (:mod:`repro.workloads`): every scheme drives the identical
   schedule through the workload engine's admission loop, every admitted
@@ -506,27 +506,27 @@ def _check_backends(scenario: FuzzScenario, report: ScenarioReport) -> None:
 
 
 def _check_churn(scenario: FuzzScenario, report: ScenarioReport) -> None:
-    """Churn differential: patched dynamic group vs replan-every-change twin.
+    """Churn differential: patched group vs replan-every-change twin.
 
     Runs fault-free on a fresh network per scheme (the chaos injector and
     the churn stream are orthogonal stressors; their interaction is covered
     by the paired-churn harness's ``fault_steps``).  After the initial send
-    and after every op, both groups must deliver exactly the current member
-    set, and every patch the patched group accepted must have passed the
-    static verifiers (surfaced through its ``verify_failures`` counter).
+    and after every op, :func:`repro.groups.churn.send_and_compare` must
+    find no mismatch (both groups deliver exactly the current member set),
+    and every patch the patched group accepted must have passed the static
+    verifier (surfaced through its ``verify_failures`` counter).
     """
-    from repro.groups import DynamicGroupManager
+    from repro.groups import GroupManager
+    from repro.groups.churn import send_and_compare
 
     for spec in scenario.schemes:
         label = spec_label(spec)
         try:
             net = SimNetwork(scenario.topo, scenario.params)
-            patched_mgr = DynamicGroupManager(net, default_scheme=spec[0])
-            twin_mgr = DynamicGroupManager(net, default_scheme=spec[0])
             kw = dict(spec[1])
-            patched = patched_mgr.create(
+            patched = GroupManager(net, default_scheme=spec[0]).create(
                 scenario.source, list(scenario.dests), repair=True, **kw)
-            twin = twin_mgr.create(
+            twin = GroupManager(net, default_scheme=spec[0]).create(
                 scenario.source, list(scenario.dests), repair=False, **kw)
             stages = [("initial", None)] + [
                 (f"op {i} ({op} {node})", (op, node))
@@ -540,28 +540,13 @@ def _check_churn(scenario: FuzzScenario, report: ScenarioReport) -> None:
                             g.join(node)
                         else:
                             g.leave(node)
-                want = tuple(sorted(patched.members))
-                rp = patched.send()
-                net.engine.run(max_events=MAX_EVENTS)
-                rt_ = twin.send()
-                net.engine.run(max_events=MAX_EVENTS)
-                delivered_patched = tuple(sorted(rp.delivery_times))
-                delivered_twin = tuple(sorted(rt_.delivery_times))
-                if not rp.complete or delivered_patched != want:
-                    report.violations.append(Violation(
-                        "churn", label,
-                        f"{stage}: patched group delivered {list(delivered_patched)}, "
-                        f"members are {list(want)}"))
-                if delivered_twin != delivered_patched:
-                    report.violations.append(Violation(
-                        "churn", label,
-                        f"{stage}: patched {list(delivered_patched)} != "
-                        f"replanned {list(delivered_twin)}"))
+                for msg in send_and_compare(patched, twin, net, stage):
+                    report.violations.append(Violation("churn", label, msg))
             if patched.stats.verify_failures:
                 report.violations.append(Violation(
                     "churn", label,
                     f"repair produced {patched.stats.verify_failures} "
-                    "illegal patch(es) (caught by the static verifiers "
+                    "illegal patch(es) (caught by the static verifier "
                     "and replanned, but the repair functions promise "
                     "legal-or-None)"))
         except (RuntimeError, ValueError, AssertionError, KeyError,

@@ -22,6 +22,7 @@ from repro.multicast import SCHEMES
 from repro.params import SimParams
 from repro.topology.graph import NetworkTopology
 from repro.topology.serialization import topology_from_dict, topology_to_dict
+from repro.workloads.arrivals import derive_seed
 
 FORMAT_VERSION = 1
 """Corpus/scenario JSON format version."""
@@ -73,10 +74,10 @@ class FuzzScenario:
 
     churn_ops: tuple[tuple[str, int], ...] = ()
     """Membership churn ops ``("join"|"leave", node)`` applied in order to a
-    dynamic group rooted at ``source`` with initial members ``dests`` (churn
-    mode): the oracle drives a graft/prune-patched group and a
-    replan-every-change twin through the stream and requires identical
-    delivery sets after every op.  Empty means a static destination set."""
+    group rooted at ``source`` with initial members ``dests`` (churn mode):
+    the oracle drives a repairing group and a replan-every-change twin
+    through the stream and requires identical delivery sets after every
+    op.  Empty means a static destination set."""
 
     collective_ops: tuple[tuple[float, str, int], ...] = ()
     """Open-loop collective admissions ``(admit_time, kind, root)`` driven
@@ -243,16 +244,3 @@ class FuzzScenario:
             len(self.churn_ops),
             len(self.collective_ops),
         )
-
-
-def derive_seed(base_seed: int, *key: object) -> int:
-    """Deterministic sub-seed from ``(base_seed, key...)``.
-
-    Same contract as the experiment runner's cell seeds: sha256 over
-    canonical JSON (never :func:`hash`, which is salted per process), so a
-    fuzz run is reproducible across platforms and invocations.
-    """
-    payload = json.dumps([base_seed, list(key)], sort_keys=True,
-                         separators=(",", ":"))
-    digest = hashlib.sha256(payload.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % (1 << 62)

@@ -1,10 +1,11 @@
-"""Dynamic multicast groups: membership churn with incremental plan repair.
+"""Multicast groups: membership churn with incremental path-plan repair.
 
 The membership lifecycle (:mod:`repro.groups.membership`), the
-graft/prune plan surgery (:mod:`repro.groups.repair`), the bounded
-per-switch multicast-table model (:mod:`repro.groups.tables`), and the
-seeded churn driver with its patched-vs-replanned paired harness
-(:mod:`repro.groups.churn`).  See docs/groups.md.
+graft/prune path-plan surgery and plan cost accounting
+(:mod:`repro.groups.repair`), the bounded per-switch multicast-table
+model (:mod:`repro.groups.tables`), and the seeded churn driver with its
+patched-vs-replanned paired harness (:mod:`repro.groups.churn`).  See
+docs/groups.md.
 """
 
 from repro.groups.churn import (
@@ -15,8 +16,6 @@ from repro.groups.churn import (
 )
 from repro.groups.membership import (
     DEFAULT_QUALITY_BOUND,
-    DynamicGroup,
-    DynamicGroupManager,
     GroupManager,
     MulticastGroup,
     PlanState,
@@ -25,11 +24,9 @@ from repro.groups.membership import (
 )
 from repro.groups.repair import (
     graft_path_plan,
-    graft_tree_plan,
     path_footprint,
     path_plan_cost,
     prune_path_plan,
-    prune_tree_plan,
     tree_cost_footprint,
 )
 from repro.groups.tables import POLICIES, SwitchMulticastTables, TableStats
@@ -40,19 +37,15 @@ __all__ = [
     "churn_stream",
     "run_paired_churn",
     "DEFAULT_QUALITY_BOUND",
-    "DynamicGroup",
-    "DynamicGroupManager",
     "GroupManager",
     "MulticastGroup",
     "PlanState",
     "RepairStats",
     "repair_kind",
     "graft_path_plan",
-    "graft_tree_plan",
     "path_footprint",
     "path_plan_cost",
     "prune_path_plan",
-    "prune_tree_plan",
     "tree_cost_footprint",
     "POLICIES",
     "SwitchMulticastTables",

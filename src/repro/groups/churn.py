@@ -4,20 +4,22 @@
 bounded population: ``churn_rate`` gates whether a step produces an event
 (both the gate and the op draw are consumed every step, so streams at
 different rates stay aligned on the shared prefix of decisions), and
-join/leave weights shape the mix, clamped so membership never empties
-and never exceeds the population.
+joins and leaves are equally likely, clamped so membership never
+empties and never exceeds the population.
 
 :func:`run_paired_churn` is the experiment kernel: one network, one
-churn stream, two groups -- a *patched* :class:`~repro.groups.membership.DynamicGroup`
-that grafts/prunes, and a *twin* that replans on every change -- driven
-through identical membership changes and alternating sends.  At every
-step the harness asserts the patched group delivers exactly the same
-destination set as the replan-every-change twin (the repair layer's
-correctness contract), and records how often each side replanned plus
-the patched-vs-fresh plan-cost ratio (the twin's plan *is* the fresh
-plan, so the quality bound is measured, not estimated).  Optional fault
-steps remove a link and reconfigure mid-stream, exercising the
-epoch-invalidates-patches rule.
+churn stream, two groups -- a *patched*
+:class:`~repro.groups.membership.MulticastGroup` (``repair=True``: path
+plans graft/prune, tree plans replan anyway) and a *twin* that replans on
+every change -- driven through identical membership changes and
+alternating sends.  At every step :func:`send_and_compare` checks that
+the patched group delivers exactly the same destination set as the
+replan-every-change twin (the repair layer's correctness contract; the
+fuzz ``churn`` oracle runs the same comparison), and the report records
+how often each side replanned plus the patched-vs-fresh plan-cost ratio
+(the twin's plan *is* the fresh plan, so the quality bound is measured,
+not estimated).  Optional fault steps remove a link and reconfigure
+mid-stream, exercising the epoch-invalidates-plans rule.
 
 Everything here is a pure function of its seed: sub-seeds use the same
 sha256 construction as the experiment runner's cell seeds, report
@@ -34,24 +36,17 @@ from dataclasses import dataclass, field
 
 from repro.groups.membership import (
     DEFAULT_QUALITY_BOUND,
-    DynamicGroup,
-    DynamicGroupManager,
+    GroupManager,
+    MulticastGroup,
 )
 from repro.params import SimParams
 from repro.sim.network import SimNetwork
 from repro.topology import faults
 from repro.topology.irregular import generate_irregular_topology
+from repro.workloads.arrivals import derive_seed
 
 MAX_EVENTS_PER_SEND = 500_000
 """Engine-event budget per send (matches the fuzz harness's runaway cap)."""
-
-
-def derive_seed(base_seed: int, *key: object) -> int:
-    """Deterministic sub-seed (sha256 over canonical JSON, never hash())."""
-    payload = json.dumps([base_seed, list(key)], sort_keys=True,
-                         separators=(",", ":"))
-    digest = hashlib.sha256(payload.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % (1 << 62)
 
 
 @dataclass(frozen=True)
@@ -70,18 +65,16 @@ def churn_stream(
     root: int,
     initial_members: tuple[int, ...],
     churn_rate: float,
-    join_weight: float = 1.0,
-    leave_weight: float = 1.0,
 ) -> tuple[ChurnEvent, ...]:
     """A deterministic join/leave stream (at most one event per step).
 
     ``churn_rate`` is the per-step probability of an event; the gate and
     the join-vs-leave draw are consumed on every step regardless, so two
     rates of one seed agree event-for-event until the first step where
-    only the higher rate fires.  Joins draw from
-    the population outside the group, leaves from the members -- weights
-    are zeroed when the respective pool is empty (a group never empties,
-    the root never churns).
+    only the higher rate fires.  Joins draw from the population outside
+    the group, leaves from the members; each op's weight is 1, zeroed
+    when its pool is empty (a group never empties, the root never
+    churns).
     """
     if not 0.0 <= churn_rate <= 1.0:
         raise ValueError("churn_rate must be in [0, 1]")
@@ -94,8 +87,8 @@ def churn_stream(
         if gate >= churn_rate:
             continue
         outside = sorted(set(population) - members - {root})
-        jw = join_weight if outside else 0.0
-        lw = leave_weight if len(members) > 1 else 0.0
+        jw = 1.0 if outside else 0.0
+        lw = 1.0 if len(members) > 1 else 0.0
         if jw + lw == 0.0:
             continue
         if op_draw < jw / (jw + lw):
@@ -159,34 +152,34 @@ def _drain(net: SimNetwork) -> None:
     net.engine.run(max_events=MAX_EVENTS_PER_SEND)
 
 
-def _send_and_compare(
-    patched: DynamicGroup,
-    twin: DynamicGroup,
+def send_and_compare(
+    patched: MulticastGroup,
+    twin: MulticastGroup,
     net: SimNetwork,
     stage: str,
-    report: ChurnReport,
-    ratios: list[float],
-) -> None:
+) -> list[str]:
+    """Send from both groups (draining after each); return the mismatches.
+
+    Empty when the patched send completed, delivered exactly the current
+    members, and delivered the same set as the replanned twin.
+    """
     want = tuple(sorted(patched.members))
     rp = patched.send()
     _drain(net)
     rt = twin.send()
     _drain(net)
-    report.sends += 2
     delivered_patched = tuple(sorted(rp.delivery_times))
     delivered_twin = tuple(sorted(rt.delivery_times))
+    mismatches = []
     if not rp.complete or delivered_patched != want:
-        report.delivery_identical = False
-        report.mismatches.append(
+        mismatches.append(
             f"{stage}: patched delivered {list(delivered_patched)}, members {list(want)}"
         )
     if delivered_twin != delivered_patched:
-        report.delivery_identical = False
-        report.mismatches.append(
+        mismatches.append(
             f"{stage}: patched {list(delivered_patched)} != replanned {list(delivered_twin)}"
         )
-    if patched.plan_cost is not None and twin.plan_cost:
-        ratios.append(patched.plan_cost / twin.plan_cost)
+    return mismatches
 
 
 def run_paired_churn(
@@ -197,23 +190,19 @@ def run_paired_churn(
     steps: int,
     group_size: int,
     churn_rate: float,
-    join_weight: float = 1.0,
-    leave_weight: float = 1.0,
     quality_bound: float = DEFAULT_QUALITY_BOUND,
     table_capacity: int | None = None,
     table_policy: str = "lru",
     fault_steps: tuple[int, ...] = (),
-    send_every: int = 1,
     scheme_kw: dict | None = None,
 ) -> ChurnReport:
     """Drive a patched group and a replan-every-change twin through one
     seeded churn stream, asserting identical delivery sets step by step.
 
     ``fault_steps`` removes one removable link and reconfigures the
-    network before those steps' events (the chaos-layer interaction);
-    ``send_every`` thins the send cadence for long streams.  The twin
-    shares the network but not the scheme instance, so the two plan
-    caches never alias.
+    network before those steps' events (the chaos-layer interaction).
+    Both groups send after every event.  The twin shares the network but
+    not the scheme instance, so the two plan caches never alias.
     """
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
@@ -232,8 +221,7 @@ def run_paired_churn(
     member_rng = random.Random(derive_seed(seed, "members"))
     initial = tuple(sorted(member_rng.sample(pool, group_size)))
     events = churn_stream(
-        seed, steps, tuple(pool), root, initial, churn_rate,
-        join_weight=join_weight, leave_weight=leave_weight,
+        seed, steps, tuple(pool), root, initial, churn_rate
     )
     events_at: dict[int, list[ChurnEvent]] = {}
     for ev in events:
@@ -242,11 +230,11 @@ def run_paired_churn(
     # Two managers: same spec must NOT share a scheme instance (a shared
     # plan cache would let one side serve the other's plans and void the
     # differential).
-    patched_mgr = DynamicGroupManager(
+    patched_mgr = GroupManager(
         net, default_scheme=scheme_name,
         table_capacity=table_capacity, table_policy=table_policy,
     )
-    twin_mgr = DynamicGroupManager(net, default_scheme=scheme_name)
+    twin_mgr = GroupManager(net, default_scheme=scheme_name)
     patched = patched_mgr.create(
         root, list(initial), quality_bound=quality_bound, repair=True,
         **scheme_kw,
@@ -263,7 +251,17 @@ def run_paired_churn(
         patched_stats={}, twin_replans=0, delivery_identical=True,
     )
     ratios: list[float] = []
-    _send_and_compare(patched, twin, net, "initial", report, ratios)
+
+    def compare(stage: str) -> None:
+        mismatches = send_and_compare(patched, twin, net, stage)
+        report.sends += 2
+        if mismatches:
+            report.delivery_identical = False
+            report.mismatches.extend(mismatches)
+        if patched.plan_cost is not None and twin.plan_cost:
+            ratios.append(patched.plan_cost / twin.plan_cost)
+
+    compare("initial")
     for step in range(steps):
         if step in fault_set:
             removable = faults.removable_links(net.topo)
@@ -278,11 +276,7 @@ def run_paired_churn(
             else:
                 patched.leave(ev.node)
                 twin.leave(ev.node)
-            if step % send_every == 0:
-                _send_and_compare(
-                    patched, twin, net,
-                    f"step {step} ({ev.op} {ev.node})", report, ratios,
-                )
+            compare(f"step {step} ({ev.op} {ev.node})")
     report.patched_stats = patched.stats.as_dict()
     report.twin_replans = twin.stats.replans
     report.verify_failures = patched.stats.verify_failures

@@ -1,49 +1,51 @@
-"""Group membership with incremental plan repair under churn.
+"""Group membership with churn-time plan upkeep.
 
-The static :class:`MulticastGroup` / :class:`GroupManager` lifecycle
-lives here (with its invalidation narrowed from cache-wide wipes to keyed discards
-of exactly the group's own plans), and :class:`DynamicGroup` adds the
-churn story --
+:class:`MulticastGroup` owns validation and cache hygiene (invalidation is
+a keyed discard of exactly the group's own plans, never a cache-wide
+wipe) and keeps the group's switch-side state in step with membership,
+by repair kind (:func:`repair_kind`) --
 
-* **joins graft, leaves prune.**  Switch-supported plans (tree worms,
-  multi-drop paths) are patched in place via :mod:`repro.groups.repair`;
-  a full replan happens only when the patch would break up*/down*
-  legality (checked with the schemes' own static verifiers on every
+* **path plans are patched: joins graft, leaves prune.**  Multi-drop
+  path plans are patched in place via :mod:`repro.groups.repair`; a
+  full replan happens only when the patch would break up*/down*
+  legality (checked with the scheme's own static verifier on every
   patch) or exceed the quality bound: a patched plan whose per-member
   cost drifts past ``quality_bound`` times the per-member cost at the
   last full replan is thrown away and replanned fresh.
+* **tree plans are replanned.**  Every membership change recomputes the
+  tree worms (header-capped or not); the group only meters the result
+  (cost, switch footprint), while :meth:`TreeWormScheme.execute` plans
+  the same worms itself at send time.
 * **NI-based schemes patch for free.**  Binomial/k-binomial state is a
   host-memory member list; joins and leaves are O(1) updates with no
   switch state to repair -- the NI side of the paper's question.
-* **reconfigurations invalidate patches, not groups.**  Every repaired
-  plan is stamped with the :attr:`~repro.sim.network.SimNetwork.routing_epoch`
+* **reconfigurations invalidate plans, not groups.**  Every plan is
+  stamped with the :attr:`~repro.sim.network.SimNetwork.routing_epoch`
   it was built under.  A chaos-layer reconfiguration bumps the epoch;
   the next membership change or send notices the stale stamp and
   replans on the new orientation -- membership itself survives.
 * **switch table charging.**  When a :class:`SwitchMulticastTables`
   ledger is attached, every (re)planned footprint installs entries and
   every send touches them, so bounded-capacity effects (evictions,
-  reinstall misses, aggregation coarseness) accrue to the switch-based
-  schemes only.
+  reinstall misses, aggregation) accrue to the switch-based schemes
+  only.
 
-Accepted patches are *installed* into the scheme's plan cache under the
-group's own key, so :meth:`MulticastGroup.send` runs the ordinary
-execute path and simply finds the repaired plan where a freshly
-computed one would sit.
+Accepted path patches are *installed* into the scheme's plan cache under
+the group's own key, so :meth:`MulticastGroup.send` runs the ordinary
+execute path and simply finds the repaired plan where a freshly computed
+one would sit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.groups.repair import (
     graft_path_plan,
-    graft_tree_plan,
     path_footprint,
     path_plan_cost,
     prune_path_plan,
-    prune_tree_plan,
     tree_cost_footprint,
 )
 from repro.groups.tables import SwitchMulticastTables
@@ -54,199 +56,40 @@ from repro.multicast.treeworm import (
     TreeWormScheme,
     _down_distance_table,
     plan_tree_worm,
-    verify_tree_plan,
 )
 from repro.sim.network import SimNetwork
 
 DEFAULT_QUALITY_BOUND = 1.5
-"""Replan when a patched plan's per-member cost exceeds this multiple of
-the per-member cost measured at the last full replan."""
+"""Replan when a patched path plan's per-member cost exceeds this
+multiple of the per-member cost measured at the last full replan."""
 
 
 def repair_kind(scheme: MulticastScheme) -> str:
-    """How a scheme's plans can be repaired under membership churn.
+    """How a scheme's plans follow membership churn.
 
-    ``"path"`` / ``"tree"`` -- switch-supported plans patched via
-    :mod:`repro.groups.repair`; ``"stateless"`` -- NI-based schemes whose
-    per-group state is a host-side member list (patches are trivial and
-    free); ``"replan"`` -- plans this layer cannot patch (e.g. the
-    header-capped tree variant, whose chunking reshuffles wholesale on
-    any membership change) and therefore recomputes every time.
+    ``"path"`` -- multi-drop path plans patched via
+    :mod:`repro.groups.repair`; ``"tree"`` -- tree worms (header-capped
+    or not), replanned on every change; ``"stateless"`` -- NI-based
+    schemes whose per-group state is a host-side member list (patches
+    are trivial and free).
     """
     if isinstance(scheme, PathWormScheme):
         return "path"
     if isinstance(scheme, TreeWormScheme):
-        return "tree" if scheme.max_header_dests is None else "replan"
+        return "tree"
     return "stateless"
 
 
-class MulticastGroup:
-    """One registered group: a root, members, and cached plans."""
-
-    def __init__(
-        self,
-        net: SimNetwork,
-        group_id: int,
-        root: int,
-        members: list[int],
-        scheme: MulticastScheme,
-    ) -> None:
-        self.net = net
-        self.group_id = group_id
-        self.root = root
-        self.scheme = scheme
-        self._members: set[int] = set()
-        for m in members:
-            self._validate_node(m)
-            self._members.add(m)
-        self._validate_node(root)
-        if root in self._members:
-            raise ValueError("root is implicitly a member; do not list it")
-        if not self._members:
-            raise ValueError("group needs at least one non-root member")
-        # Cached sorted view: send() is O(1) in membership, not O(n log n);
-        # refreshed only when membership actually changes.
-        self._sorted_members: tuple[int, ...] = tuple(sorted(self._members))
-        self.sends = 0
-
-    def _validate_node(self, node: int) -> None:
-        if not 0 <= node < self.net.topo.num_nodes:
-            raise ValueError(f"node {node} out of range")
-
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
-    @property
-    def members(self) -> frozenset[int]:
-        """Current non-root members."""
-        return frozenset(self._members)
-
-    def join(self, node: int) -> None:
-        """Add a member; invalidates cached plans."""
-        self._validate_node(node)
-        if node == self.root:
-            raise ValueError("root is already in the group")
-        if node in self._members:
-            raise ValueError(f"node {node} already a member")
-        self._members.add(node)
-        self._membership_changed(added=node, removed=None)
-
-    def leave(self, node: int) -> None:
-        """Remove a member; invalidates cached plans.
-
-        Validation happens *before* mutation: a rejected leave (unknown
-        node, or the last remaining member) leaves membership untouched.
-        """
-        if node not in self._members:
-            raise ValueError(f"node {node} not a member")
-        if len(self._members) == 1:
-            raise ValueError("cannot remove the last member")
-        self._members.remove(node)
-        self._membership_changed(added=None, removed=node)
-
-    def _membership_changed(
-        self, added: int | None, removed: int | None
-    ) -> None:
-        previous = self._sorted_members
-        self._sorted_members = tuple(sorted(self._members))
-        self._invalidate(previous)
-
-    def _invalidate(self, previous: tuple[int, ...]) -> None:
-        # Keyed discard of exactly this group's cached plans (across every
-        # epoch): other groups sharing the scheme instance keep theirs, and
-        # shared network-wide tables (down-distance) survive untouched.
-        self.scheme.discard_group_plans(self.net, self.root, previous)
-
-    # ------------------------------------------------------------------
-    # Communication
-    # ------------------------------------------------------------------
-    def send(
-        self,
-        on_complete: Callable[[MulticastResult], None] | None = None,
-    ) -> MulticastResult:
-        """Multicast one message from the root to the current members."""
-        self.sends += 1
-        return self.scheme.execute(
-            self.net, self.root, list(self._sorted_members), on_complete
-        )
-
-
-class GroupManager:
-    """Registry of multicast groups on one network.
-
-    Groups requesting the same ``(scheme name, keyword)`` spec share one
-    scheme instance -- and therefore one plan cache -- which is what makes
-    keyed invalidation matter: one group's churn discards only its own
-    entries, and its neighbours' cached plans survive.
-    """
-
-    _group_cls: type[MulticastGroup] = MulticastGroup
-
-    def __init__(self, net: SimNetwork, default_scheme: str = "tree") -> None:
-        self.net = net
-        self.default_scheme = default_scheme
-        self._groups: dict[int, MulticastGroup] = {}
-        self._schemes: dict[tuple, MulticastScheme] = {}
-        self._next_id = 0
-
-    def _scheme_for(self, name: str, scheme_kw: dict) -> MulticastScheme:
-        key = (name, tuple(sorted(scheme_kw.items())))
-        scheme = self._schemes.get(key)
-        if scheme is None:
-            scheme = make_scheme(name, **scheme_kw)
-            scheme.enable_plan_cache()
-            self._schemes[key] = scheme
-        return scheme
-
-    def create(
-        self,
-        root: int,
-        members: list[int],
-        scheme_name: str | None = None,
-        **scheme_kw,
-    ) -> MulticastGroup:
-        """Register a group; returns the handle (ids are never reused)."""
-        scheme = self._scheme_for(
-            scheme_name or self.default_scheme, scheme_kw
-        )
-        group = self._group_cls(
-            self.net, self._next_id, root, members, scheme
-        )
-        self._groups[self._next_id] = group
-        self._next_id += 1
-        return group
-
-    def get(self, group_id: int) -> MulticastGroup:
-        try:
-            return self._groups[group_id]
-        except KeyError:
-            raise ValueError(f"no group {group_id}")
-
-    def destroy(self, group_id: int) -> None:
-        """Unregister a group, discarding its cached plans."""
-        if group_id not in self._groups:
-            raise ValueError(f"no group {group_id}")
-        group = self._groups.pop(group_id)
-        group.scheme.discard_group_plans(
-            self.net, group.root, group._sorted_members
-        )
-
-    def __len__(self) -> int:
-        return len(self._groups)
-
-
-# ----------------------------------------------------------------------
-# Dynamic groups: churn-time plan repair
-# ----------------------------------------------------------------------
 @dataclass
 class RepairStats:
-    """What a dynamic group did in response to membership churn."""
+    """What a group did in response to membership churn."""
 
     grafts: int = 0
     prunes: int = 0
     replans: int = 0
-    """Membership changes that fell back to a full replan (the number the
-    20%-of-churn acceptance bound constrains; sub-classified below)."""
+    """Membership changes that fell back to a full replan (every change
+    of a tree group; for path groups the number the 20%-of-churn
+    acceptance bound constrains, sub-classified below)."""
 
     legality_replans: int = 0
     quality_replans: int = 0
@@ -258,7 +101,7 @@ class RepairStats:
     """Replans at send time after an epoch bump (no membership change)."""
 
     verify_failures: int = 0
-    """Patches the static verifiers rejected (each also counts one
+    """Patches the static verifier rejected (each also counts one
     legality replan; nonzero means a repair function produced an illegal
     plan -- worth investigating, never worth delivering)."""
 
@@ -287,9 +130,12 @@ class RepairStats:
 
 @dataclass
 class PlanState:
-    """The live plan of a dynamic group, stamped with its routing epoch."""
+    """The live plan of a group, stamped with its routing epoch."""
 
     plan: object
+    """A path group's :class:`MulticastPathPlan`, or a tree group's
+    per-chunk tuple of :class:`TreeWormPlan`."""
+
     epoch: int
     cost: int
     footprint: tuple[int, ...]
@@ -299,13 +145,9 @@ class PlanState:
     compares patched per-member cost against this baseline, so accepting
     a patch needs no fresh plan to compare against."""
 
-    problems: tuple[str, ...] = field(default=())
-    """Verifier output for the *current* plan (always empty for accepted
-    plans; kept for observability in tests)."""
 
-
-class DynamicGroup(MulticastGroup):
-    """A multicast group whose plan is repaired, not replanned, on churn."""
+class MulticastGroup:
+    """One registered group: a root, members, and its live plan."""
 
     def __init__(
         self,
@@ -321,25 +163,76 @@ class DynamicGroup(MulticastGroup):
     ) -> None:
         if quality_bound < 1.0:
             raise ValueError("quality_bound must be >= 1.0")
+        self.net = net
+        self.group_id = group_id
+        self.root = root
+        self.scheme = scheme
+        self._members: set[int] = set()
+        for m in members:
+            self._validate_node(m)
+            self._members.add(m)
+        self._validate_node(root)
+        if root in self._members:
+            raise ValueError("root is implicitly a member; do not list it")
+        if not self._members:
+            raise ValueError("group needs at least one non-root member")
+        # Cached sorted view: send() is O(1) in membership, not O(n log n);
+        # refreshed only when membership actually changes.
+        self._sorted_members: tuple[int, ...] = tuple(sorted(self._members))
+        self.sends = 0
         self.quality_bound = float(quality_bound)
         self.repair_enabled = repair
         self.stats = RepairStats()
         self._kind = repair_kind(scheme)
-        self.tables = tables if self._kind in ("path", "tree") else None
+        self.tables = tables if self._kind != "stateless" else None
         self._state: PlanState | None = None
-        super().__init__(net, group_id, root, members, scheme)
-        if self._kind in ("path", "tree"):
+        if self._kind != "stateless":
             self._replan(count=False)
 
+    def _validate_node(self, node: int) -> None:
+        if not 0 <= node < self.net.topo.num_nodes:
+            raise ValueError(f"node {node} out of range")
+
     # ------------------------------------------------------------------
-    # Churn handling
+    # Membership
     # ------------------------------------------------------------------
+    @property
+    def members(self) -> frozenset[int]:
+        """Current non-root members."""
+        return frozenset(self._members)
+
+    def join(self, node: int) -> None:
+        """Add a member; the plan is patched or replanned."""
+        self._validate_node(node)
+        if node == self.root:
+            raise ValueError("root is already in the group")
+        if node in self._members:
+            raise ValueError(f"node {node} already a member")
+        self._members.add(node)
+        self._membership_changed(added=node, removed=None)
+
+    def leave(self, node: int) -> None:
+        """Remove a member; the plan is patched or replanned.
+
+        Validation happens *before* mutation: a rejected leave (unknown
+        node, or the last remaining member) leaves membership untouched.
+        """
+        if node not in self._members:
+            raise ValueError(f"node {node} not a member")
+        if len(self._members) == 1:
+            raise ValueError("cannot remove the last member")
+        self._members.remove(node)
+        self._membership_changed(added=None, removed=node)
+
     def _membership_changed(
         self, added: int | None, removed: int | None
     ) -> None:
         previous = self._sorted_members
         self._sorted_members = tuple(sorted(self._members))
-        self._invalidate(previous)
+        # Keyed discard of exactly this group's cached plans (across every
+        # epoch): other groups sharing the scheme instance keep theirs, and
+        # shared network-wide tables (down-distance) survive untouched.
+        self.scheme.discard_group_plans(self.net, self.root, previous)
         if self._kind == "stateless":
             # NI-side state is a host-memory member list; the "patch" is
             # the membership update that already happened.
@@ -348,10 +241,7 @@ class DynamicGroup(MulticastGroup):
             else:
                 self.stats.prunes += 1
             return
-        if self._kind == "replan" or not self.repair_enabled:
-            self._replan()
-            return
-        if self._state is None:
+        if self._kind == "tree" or not self.repair_enabled:
             self._replan()
             return
         if self._state.epoch != self.net.routing_epoch:
@@ -360,18 +250,29 @@ class DynamicGroup(MulticastGroup):
             self.stats.epoch_replans += 1
             self._replan()
             return
-        patched = self._patch(added, removed)
+        if added is not None:
+            patched = graft_path_plan(
+                self.net, self._state.plan, self.root, added,
+                strategy=self.scheme.strategy,
+            )
+        else:
+            patched = prune_path_plan(
+                self.net, self._state.plan, self.root, removed,
+                strategy=self.scheme.strategy,
+            )
         if patched is None:
             self.stats.legality_replans += 1
             self._replan()
             return
-        problems = self._verify(patched)
-        if problems:
+        if verify_plan(
+            self.net.topo, self.net.routing, self.root,
+            list(self._sorted_members), patched,
+        ):
             self.stats.verify_failures += 1
             self.stats.legality_replans += 1
             self._replan()
             return
-        cost, footprint = self._measure(patched)
+        cost = path_plan_cost(patched)
         base = self._state
         if (
             base.baseline_cost > 0
@@ -386,70 +287,26 @@ class DynamicGroup(MulticastGroup):
             plan=patched,
             epoch=self.net.routing_epoch,
             cost=cost,
-            footprint=footprint,
+            footprint=path_footprint(patched),
             baseline_cost=base.baseline_cost,
             baseline_size=base.baseline_size,
         )
-        self._install(patched)
+        self._install_path(patched)
         self._charge_tables()
         if added is not None:
             self.stats.grafts += 1
         else:
             self.stats.prunes += 1
 
-    def _patch(self, added: int | None, removed: int | None):
-        assert self._state is not None
-        if self._kind == "path":
-            if added is not None:
-                return graft_path_plan(
-                    self.net, self._state.plan, self.root, added,
-                    strategy=self.scheme.strategy,
-                )
-            return prune_path_plan(
-                self.net, self._state.plan, self.root, removed,
-                strategy=self.scheme.strategy,
-            )
-        if added is not None:
-            return graft_tree_plan(
-                self.net, self._state.plan, self._sorted_members
-            )
-        return prune_tree_plan(self._state.plan)
-
-    def _verify(self, plan) -> list[str]:
-        if self._kind == "path":
-            return verify_plan(
-                self.net.topo, self.net.routing, self.root,
-                list(self._sorted_members), plan,
-            )
-        return verify_tree_plan(self.net, plan, list(self._sorted_members))
-
-    def _measure(self, plan) -> tuple[int, tuple[int, ...]]:
-        if self._kind == "path":
-            return path_plan_cost(plan), path_footprint(plan)
-        return tree_cost_footprint(
-            self.net, self._down_dist(), plan, list(self._sorted_members)
-        )
-
-    def _down_dist(self) -> dict[int, dict[int, int]]:
-        # Shared with the execute path: same cache key, same table.
-        return self.scheme._cached_plan(
-            self.net, ("downdist",), lambda: _down_distance_table(self.net)
-        )
-
     def _replan(self, count: bool = True) -> None:
         if count:
             self.stats.replans += 1
-        if self._kind not in ("path", "tree"):
-            self._state = None
-            return
         dests = list(self._sorted_members)
         if self._kind == "path":
             plan = self.scheme.plan(self.net, self.root, dests)
+            cost, footprint = path_plan_cost(plan), path_footprint(plan)
         else:
-            plan = plan_tree_worm(
-                self.net, self.net.topo.switch_of_node(self.root), dests
-            )
-        cost, footprint = self._measure(plan)
+            plan, cost, footprint = self._plan_tree(dests)
         self._state = PlanState(
             plan=plan,
             epoch=self.net.routing_epoch,
@@ -458,29 +315,41 @@ class DynamicGroup(MulticastGroup):
             baseline_cost=cost,
             baseline_size=len(dests),
         )
-        self._install(plan)
+        if self._kind == "path":
+            self._install_path(plan)
         self._charge_tables()
 
-    def _install(self, plan) -> None:
-        """Plant the plan in the scheme cache where execute() will look."""
-        dests = self._sorted_members
-        if self._kind == "path":
-            self.scheme.install_plan(
-                self.net, ("mdp", self.root, dests), plan
-            )
-            return
-        steer = self.scheme.make_steer(
-            self.net, plan, list(dests), self._down_dist()
+    def _plan_tree(self, dests: list[int]):
+        """Per-chunk tree plans, with cost summed and footprint unioned.
+
+        The same chunks and worms :meth:`TreeWormScheme.execute` plans at
+        send time; the down-distance table is shared with it through the
+        scheme cache (same key, same table).
+        """
+        net = self.net
+        down_dist = self.scheme._cached_plan(
+            net, ("downdist",), lambda: _down_distance_table(net)
         )
+        source_switch = net.topo.switch_of_node(self.root)
+        plans = []
+        cost = 0
+        switches: set[int] = set()
+        for chunk in self.scheme.chunk_dests(net, self.root, dests):
+            plan = plan_tree_worm(net, source_switch, chunk)
+            c, footprint = tree_cost_footprint(net, down_dist, plan, chunk)
+            plans.append(plan)
+            cost += c
+            switches.update(footprint)
+        return tuple(plans), cost, tuple(sorted(switches))
+
+    def _install_path(self, plan) -> None:
+        """Plant a path plan in the scheme cache where execute() looks."""
         self.scheme.install_plan(
-            self.net, ("chunks", self.root, dests), [list(dests)]
-        )
-        self.scheme.install_plan(
-            self.net, ("worm", self.root, dests), (plan, steer)
+            self.net, ("mdp", self.root, self._sorted_members), plan
         )
 
     def _charge_tables(self) -> None:
-        if self.tables is not None and self._state is not None:
+        if self.tables is not None:
             self.tables.install(self.group_id, self._state.footprint)
 
     # ------------------------------------------------------------------
@@ -490,6 +359,7 @@ class DynamicGroup(MulticastGroup):
         self,
         on_complete: Callable[[MulticastResult], None] | None = None,
     ) -> MulticastResult:
+        """Multicast one message from the root to the current members."""
         if (
             self._state is not None
             and self._state.epoch != self.net.routing_epoch
@@ -499,9 +369,12 @@ class DynamicGroup(MulticastGroup):
             # group's cost/footprint ledger in step with what runs).
             self.stats.send_refreshes += 1
             self._replan(count=False)
-        if self.tables is not None and self._state is not None:
+        if self.tables is not None:
             self.tables.touch(self.group_id, self._state.footprint)
-        return super().send(on_complete)
+        self.sends += 1
+        return self.scheme.execute(
+            self.net, self.root, list(self._sorted_members), on_complete
+        )
 
     # ------------------------------------------------------------------
     # Observability
@@ -520,15 +393,18 @@ class DynamicGroup(MulticastGroup):
         return self._state.epoch if self._state is not None else None
 
 
-class DynamicGroupManager(GroupManager):
-    """Group registry with churn repair and optional table capacity.
+class GroupManager:
+    """Registry of multicast groups on one network.
+
+    Groups requesting the same ``(scheme name, keyword)`` spec share one
+    scheme instance -- and therefore one plan cache -- which is what makes
+    keyed invalidation matter: one group's churn discards only its own
+    entries, and its neighbours' cached plans survive.
 
     ``table_capacity``/``table_policy`` attach one shared
     :class:`SwitchMulticastTables` ledger; switch-supported groups charge
     it, NI-based groups never touch it.
     """
-
-    _group_cls = DynamicGroup
 
     def __init__(
         self,
@@ -538,12 +414,25 @@ class DynamicGroupManager(GroupManager):
         table_capacity: int | None = None,
         table_policy: str = "lru",
     ) -> None:
-        super().__init__(net, default_scheme=default_scheme)
+        self.net = net
+        self.default_scheme = default_scheme
+        self._groups: dict[int, MulticastGroup] = {}
+        self._schemes: dict[tuple, MulticastScheme] = {}
+        self._next_id = 0
         self.tables: SwitchMulticastTables | None = None
         if table_capacity is not None:
             self.tables = SwitchMulticastTables(
                 net.topo.num_switches, table_capacity, policy=table_policy
             )
+
+    def _scheme_for(self, name: str, scheme_kw: dict) -> MulticastScheme:
+        key = (name, tuple(sorted(scheme_kw.items())))
+        scheme = self._schemes.get(key)
+        if scheme is None:
+            scheme = make_scheme(name, **scheme_kw)
+            scheme.enable_plan_cache()
+            self._schemes[key] = scheme
+        return scheme
 
     def create(
         self,
@@ -554,11 +443,12 @@ class DynamicGroupManager(GroupManager):
         quality_bound: float = DEFAULT_QUALITY_BOUND,
         repair: bool = True,
         **scheme_kw,
-    ) -> DynamicGroup:
+    ) -> MulticastGroup:
+        """Register a group; returns the handle (ids are never reused)."""
         scheme = self._scheme_for(
             scheme_name or self.default_scheme, scheme_kw
         )
-        group = DynamicGroup(
+        group = MulticastGroup(
             self.net, self._next_id, root, members, scheme,
             quality_bound=quality_bound,
             repair=repair,
@@ -568,8 +458,21 @@ class DynamicGroupManager(GroupManager):
         self._next_id += 1
         return group
 
+    def get(self, group_id: int) -> MulticastGroup:
+        try:
+            return self._groups[group_id]
+        except KeyError:
+            raise ValueError(f"no group {group_id}")
+
     def destroy(self, group_id: int) -> None:
+        """Unregister a group, releasing its table entries and plans."""
         group = self.get(group_id)
-        if isinstance(group, DynamicGroup) and group.tables is not None:
+        del self._groups[group_id]
+        if group.tables is not None:
             group.tables.release(group_id)
-        super().destroy(group_id)
+        group.scheme.discard_group_plans(
+            self.net, group.root, group._sorted_members
+        )
+
+    def __len__(self) -> int:
+        return len(self._groups)

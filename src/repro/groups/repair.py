@@ -1,33 +1,25 @@
-"""Incremental multicast-plan repair: graft on join, prune on leave.
+"""Incremental path-plan repair: graft on join, prune on leave.
 
-A membership change invalidates at most a sliver of a plan; replanning
-from scratch throws the rest away.  This module patches the two
-switch-supported plan shapes in place --
-
-* **path plans** (:class:`~repro.multicast.pathworm.MulticastPathPlan`):
-  a join grafts the new member onto the nearest legal attachment point:
-  if some worm already crosses the member's switch, the member becomes
-  one more drop at that position (zero new links); otherwise a fresh
-  single-destination worm is planned from the closest eligible sender
-  (a covered node that has not sent yet, by routing distance then id)
-  and appended as a new final phase.  A leave removes the member's drop,
-  trims the now-useless path tail, and -- if the leaver was due to send
-  a later worm -- hands that worm to another already-covered node on the
-  same switch.
-* **tree plans** (:class:`~repro.multicast.treeworm.TreeWormPlan`): a
-  join keeps the plan whenever the turn switch still down-covers every
-  destination not dropped on the climb; otherwise the up path is
-  *extended* from the old turn to the nearest covering ancestor (a
-  splice, not a replan).  A leave never invalidates coverage, so the
-  plan survives as-is and the quality bound decides when an over-high
-  turn is worth replanning away.
+A membership change invalidates at most a sliver of a multi-drop path
+plan (:class:`~repro.multicast.pathworm.MulticastPathPlan`); replanning
+from scratch throws the rest away.  This module patches it in place: a
+join grafts the new member onto the nearest legal attachment point: if
+some worm already crosses the member's switch, the member becomes one
+more drop at that position (zero new links); otherwise a fresh
+single-destination worm is planned from the closest eligible sender (a
+covered node that has not sent yet, by routing distance then id) and
+appended as a new final phase.  A leave removes the member's drop, trims
+the now-useless path tail, and -- if the leaver was due to send a later
+worm -- hands that worm to another already-covered node on the same
+switch.  Tree plans are not patched: a tree group replans on every
+membership change.
 
 Every patch is advisory: callers re-verify the result against the
-up*/down* invariants (:func:`repro.multicast.pathworm.verify_plan` /
-:func:`repro.multicast.treeworm.verify_tree_plan`) and fall back to a
-full replan when a function here returns ``None`` or verification
-fails.  Cost helpers mirror the execution layer's link accounting so a
-patched-vs-fresh quality ratio needs no simulation.
+up*/down* invariants (:func:`repro.multicast.pathworm.verify_plan`) and
+fall back to a full replan when a function here returns ``None`` or
+verification fails.  Cost helpers (path and tree) mirror the execution
+layer's link accounting so a patched-vs-fresh quality ratio and a
+switch-table footprint need no simulation.
 """
 
 from __future__ import annotations
@@ -39,7 +31,7 @@ from repro.multicast.pathworm import (
     PathWormPlan,
     best_single_worm,
 )
-from repro.multicast.treeworm import TreeWormPlan, plan_tree_worm
+from repro.multicast.treeworm import TreeWormPlan, down_port_assignment
 from repro.sim.network import SimNetwork
 
 
@@ -66,12 +58,12 @@ def tree_cost_footprint(
 
     Replays the worm's route without simulating it: climb the up path
     (dropping destinations local to each crossed switch, stopping early
-    if the header empties), then walk the priority-encoded down
-    distribution exactly as :meth:`TreeWormScheme.make_steer` would
-    assign header bits to down ports.  Cost is one injection plus every
-    link the worm (and its down copies) traverses.
+    if the header empties), then walk the down distribution through
+    :func:`~repro.multicast.treeworm.down_port_assignment`, the header
+    decode :meth:`TreeWormScheme.make_steer` runs.  Cost is one
+    injection plus every link the worm (and its down copies) traverses.
     """
-    topo, rt = net.topo, net.routing
+    topo = net.topo
     remaining = frozenset(dests)
     switches: set[int] = set()
     edges = 0
@@ -90,31 +82,11 @@ def tree_cost_footprint(
         sw, rem = stack.pop()
         switches.add(sw)
         rem = rem - frozenset(topo.nodes_on_switch(sw))
-        assignment: dict[int, set[int]] = {}
-        link_of: dict[int, object] = {}
-        for d in sorted(rem):
-            t = topo.switch_of_node(d)
-            best = None
-            for lk in rt.down_links_of(sw):
-                v = lk.other_end(sw).switch
-                dd = down_dist[v].get(t)
-                if dd is None:
-                    continue
-                key = (dd, lk.link_id)
-                if best is None or key < best[0]:
-                    best = (key, lk)
-            if best is None:
-                raise ValueError(
-                    f"switch {sw} cannot down-reach destination {d}")
-            lk = best[1]
-            assignment.setdefault(lk.link_id, set()).add(d)
-            link_of[lk.link_id] = lk
-        for link_id in sorted(assignment):
-            lk = link_of[link_id]
+        for lk, subset in down_port_assignment(
+            topo, net.routing, down_dist, sw, rem
+        ):
             edges += 1
-            stack.append(
-                (lk.other_end(sw).switch, frozenset(assignment[link_id]))
-            )
+            stack.append((lk.other_end(sw).switch, subset))
     return 1 + edges, tuple(sorted(switches))
 
 
@@ -282,43 +254,3 @@ def prune_path_plan(
     if not new_phases:
         return None
     return MulticastPathPlan(phases=new_phases)
-
-
-# ----------------------------------------------------------------------
-# Tree-plan surgery
-# ----------------------------------------------------------------------
-def graft_tree_plan(
-    net: SimNetwork,
-    plan: TreeWormPlan,
-    dests_after: tuple[int, ...],
-) -> TreeWormPlan:
-    """Graft new membership onto a tree plan, extending the climb if needed.
-
-    If the turn switch still down-covers every destination not dropped on
-    the way up, the plan is untouched.  Otherwise the up path is extended
-    from the old turn to the nearest ancestor that covers the shortfall
-    (a BFS over up links, exactly how the original turn was chosen) and
-    spliced on -- the up-direction graph is acyclic, so the extension
-    never revisits the existing path.
-    """
-    topo = net.topo
-    remaining = frozenset(dests_after)
-    for s in plan.up_switch_path:
-        remaining = remaining - frozenset(topo.nodes_on_switch(s))
-    if net.reach.covers(plan.turn_switch, remaining):
-        return plan
-    ext = plan_tree_worm(net, plan.turn_switch, sorted(remaining))
-    return TreeWormPlan(
-        source_switch=plan.source_switch,
-        turn_switch=ext.turn_switch,
-        up_switch_path=plan.up_switch_path + ext.up_switch_path[1:],
-    )
-
-
-def prune_tree_plan(plan: TreeWormPlan) -> TreeWormPlan:
-    """A leave never breaks tree coverage: the plan survives unchanged.
-
-    (The quality bound, not legality, decides when a shrunken group has
-    left the turn switch too high to keep.)
-    """
-    return plan

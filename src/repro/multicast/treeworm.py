@@ -29,9 +29,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.multicast.base import MulticastResult, MulticastScheme
+from repro.routing.updown import UpDownRouting
 from repro.sim.messaging import HostReceiver, host_send, host_send_multiworm
 from repro.sim.network import SimNetwork
 from repro.sim.worm import Deliver, Forward
+from repro.topology.graph import NetworkTopology, SwitchLink
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,50 @@ def _down_distance_table(net: SimNetwork) -> dict[int, dict[int, int]]:
                     frontier.append(v)
         dist[s] = d
     return dist
+
+
+def down_port_assignment(
+    topo: NetworkTopology,
+    rt: UpDownRouting,
+    down_dist: dict[int, dict[int, int]],
+    switch: int,
+    remaining: frozenset[int],
+) -> list[tuple[SwitchLink, frozenset[int]]]:
+    """Assign header bits to one switch's down ports (the header decode).
+
+    Each destination goes to exactly one down link: the one minimising
+    (down distance to the destination's switch, link id), a priority
+    encoder programmed for shortest down-distance.  Returns
+    ``(link, destination subset)`` pairs in link-id order.  Takes the
+    topology and routing a worm was planned on, not the network: a worm
+    in flight keeps decoding on its own epoch's tables across a
+    reconfiguration.
+    """
+    assignment: dict[int, set[int]] = {}
+    link_of: dict[int, SwitchLink] = {}
+    for d in sorted(remaining):
+        t = topo.switch_of_node(d)
+        best = None
+        for lk in rt.down_links_of(switch):
+            v = lk.other_end(switch).switch
+            dd = down_dist[v].get(t)
+            if dd is None:
+                continue
+            key = (dd, lk.link_id)
+            if best is None or key < best[0]:
+                best = (key, lk)
+        if best is None:
+            raise AssertionError(
+                f"switch {switch} cannot reach destination {d} "
+                "downward despite covering it"
+            )
+        lk = best[1]
+        assignment.setdefault(lk.link_id, set()).add(d)
+        link_of[lk.link_id] = lk
+    return [
+        (link_of[link_id], frozenset(assignment[link_id]))
+        for link_id in sorted(assignment)
+    ]
 
 
 def plan_tree_worm(net: SimNetwork, source_switch: int,
@@ -97,11 +143,11 @@ def plan_tree_worm(net: SimNetwork, source_switch: int,
 
 def verify_tree_plan(net: SimNetwork, plan: TreeWormPlan,
                      dests: list[int]) -> list[str]:
-    """Statically check a (possibly patched) tree-worm route plan.
+    """Statically check a tree-worm route plan.
 
     The tree analogue of :func:`repro.multicast.pathworm.verify_plan`,
-    used by the group layer to accept or reject an incrementally grafted
-    plan.  Returns human-readable problems (empty when the plan is sound):
+    run by the fuzz ``plan-static`` oracle.  Returns human-readable
+    problems (empty when the plan is sound):
 
     * the up path starts at the source switch, ends at the turn switch,
       and each consecutive pair is joined by an up-direction link (so the
@@ -206,30 +252,9 @@ class TreeWormScheme(MulticastScheme):
         def distribute_down(switch: int, remaining: frozenset[int]):
             """Priority-encode remaining header bits onto down ports."""
             instrs, remaining = local_drops(switch, remaining)
-            assignment: dict[int, set[int]] = {}
-            link_of: dict[int, object] = {}
-            for d in sorted(remaining):
-                t = topo.switch_of_node(d)
-                best = None
-                for lk in rt.down_links_of(switch):
-                    v = lk.other_end(switch).switch
-                    dd = down_dist[v].get(t)
-                    if dd is None:
-                        continue
-                    key = (dd, lk.link_id)
-                    if best is None or key < best[0]:
-                        best = (key, lk)
-                if best is None:
-                    raise AssertionError(
-                        f"switch {switch} cannot reach destination {d} "
-                        "downward despite covering it"
-                    )
-                lk = best[1]
-                assignment.setdefault(lk.link_id, set()).add(d)
-                link_of[lk.link_id] = lk
-            for link_id in sorted(assignment):
-                lk = link_of[link_id]
-                subset = frozenset(assignment[link_id])
+            for lk, subset in down_port_assignment(
+                topo, rt, down_dist, switch, remaining
+            ):
                 ch = fab.forward_channel(lk, switch)
                 instrs.append(Forward([(ch, ("down", subset))]))
             return instrs

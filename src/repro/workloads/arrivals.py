@@ -29,7 +29,14 @@ COLLECTIVE_KINDS = ("broadcast", "allreduce", "barrier")
 
 
 def derive_seed(base_seed: int, *key: object) -> int:
-    """Deterministic sub-seed (sha256 over canonical JSON, never hash())."""
+    """Deterministic sub-seed from ``(base_seed, key...)``.
+
+    sha256 over canonical JSON (never :func:`hash`, which is salted per
+    process), so arrival schedules, churn streams and fuzz scenarios
+    reproduce across platforms and invocations.  The experiment runner's
+    cell seeds hash a different payload (:func:`repro.experiments.runner
+    .derive_seed`).
+    """
     payload = json.dumps([base_seed, list(key)], sort_keys=True,
                          separators=(",", ":"))
     digest = hashlib.sha256(payload.encode("utf-8")).digest()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.groups.membership import GroupManager, MulticastGroup
+from repro.groups import GroupManager
 from repro.experiments.calibration import (
     TornadoBar,
     render_tornado,
