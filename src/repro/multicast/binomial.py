@@ -109,26 +109,31 @@ class UnicastBinomialScheme(MulticastScheme):
         )
         n_packets = net.params.message_packets
 
+        def on_host_delivery(node: int, time: float) -> None:
+            result._record(node, time, on_complete)
+            sends_for(node)
+
+        # Built up front, so ``sends_for`` does not refer back to
+        # ``on_host_delivery``: with receivers dropping their callback once
+        # it fires, no closure cycle (holding ``net``) outlives the message.
+        receivers = {
+            child: HostReceiver(
+                net.hosts[child],
+                n_packets,
+                on_delivered=lambda t, n=child: on_host_delivery(n, t),
+            )
+            for children in tree.values()
+            for child in children
+        }
+
         def sends_for(node: int) -> None:
             """Issue this node's child messages (back-to-back host sends)."""
             for child in tree[node]:
-                receiver = HostReceiver(
-                    net.hosts[child],
-                    n_packets,
-                    on_delivered=_make_on_delivered(child),
-                )
                 launchers = [
-                    _make_launcher(net, node, child, receiver)
+                    _make_launcher(net, node, child, receivers[child])
                     for _ in range(n_packets)
                 ]
                 host_send(net.hosts[node], launchers)
-
-        def _make_on_delivered(node: int) -> Callable[[float], None]:
-            def fire(time: float) -> None:
-                result._record(node, time, on_complete)
-                sends_for(node)
-
-            return fire
 
         sends_for(source)
         return result

@@ -67,6 +67,16 @@ def build_k_binomial_tree(members: list[int], k: int) -> dict[int, list[int]]:
     return tree
 
 
+def _post_order(
+    tree: dict[int, list[int]], node: int, out: list[int]
+) -> list[int]:
+    """Append the subtree under ``node`` to ``out``, children first."""
+    for c in tree[node]:
+        _post_order(tree, c, out)
+    out.append(node)
+    return out
+
+
 def base_packet_hop_latency(net: SimNetwork, src: int, dst: int) -> float:
     """Contention-free NI-to-NI latency of one packet between two nodes."""
     p = net.params
@@ -195,22 +205,24 @@ class NIKBinomialScheme(MulticastScheme):
 
         def make_launcher(src: int, dst: int) -> Callable[[], None]:
             steer = net.unicast_steer(dst)
+            receiver = receivers[dst]
 
             def launch() -> None:
                 net.hosts[src].launch_worm(
                     steer,
                     initial_state=None,
-                    on_delivered=lambda _n, _t: receivers[dst].packet_arrived(),
+                    on_delivered=lambda _n, _t: receiver.packet_arrived(),
                     label=f"ni:{src}->{dst}",
                 )
 
             return launch
 
-        def build(node: int) -> None:
-            for c in tree[node]:
-                build(c)
+        # Children before parents, so every launcher binds its child's
+        # receiver itself: a launcher that looked ``receivers`` up would close
+        # a reference cycle through the forwarders' launch rows (and ``net``).
+        for node in _post_order(tree, source, []):
             if node == source:
-                return
+                continue
             on_deliv = lambda t, n=node: result._record(n, t, on_complete)
             rows = [
                 [make_launcher(node, c) for c in tree[node]] for _ in range(m)
@@ -222,7 +234,6 @@ class NIKBinomialScheme(MulticastScheme):
             else:
                 receivers[node] = HostReceiver(net.hosts[node], m, on_deliv)
 
-        build(source)
         source_rows = [
             [make_launcher(source, c) for c in tree[source]] for _ in range(m)
         ]

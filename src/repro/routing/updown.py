@@ -7,9 +7,13 @@ followed by zero or more links in the down direction -- a packet may never go
 up after having gone down.  Because the directed "up" links form a DAG, the
 rule is deadlock-free.
 
-This module computes, for every (switch, routing phase, destination switch)
-triple, the set of next hops that lie on a *minimal* legal route, which is
-what both the adaptive and the deterministic routing policies consult.
+This module answers, for any (switch, routing phase, destination switch)
+triple, which next hops lie on a *minimal* legal route, which is what both
+the adaptive and the deterministic routing policies consult.  Only the
+destination-independent part (the orientation and the (switch, phase)
+state graph) is built up front; the first query per destination runs one
+backward BFS over that graph, so a network computes only the routes its
+traffic asks for.
 """
 
 from __future__ import annotations
@@ -40,20 +44,40 @@ class Hop:
     next_phase: Phase
 
 
+_DOWN = Phase.DOWN
+"""Bound once: ``phase is _DOWN`` costs far less than ``phase.value`` in
+the per-packet :meth:`UpDownRouting.next_hops`."""
+
+
 @dataclass
 class UpDownRouting:
     """Routing tables for the up*/down* scheme.
 
-    Build one per topology via :meth:`build`; all queries are O(1) lookups.
+    Build one per topology via :meth:`build`.  The first query per
+    destination runs one BFS over the (switch, phase) state graph; later
+    queries for that destination are list lookups.  States are flat ints,
+    ``2 * switch + phase.value``.
     """
 
     topo: NetworkTopology
     tree: BfsTree
     _up_end: dict[int, int] = field(default_factory=dict, repr=False)
-    _dist: list[dict[tuple[int, Phase], int]] = field(default_factory=list, repr=False)
-    _hops: list[dict[tuple[int, Phase], tuple[Hop, ...]]] = field(
+    _up_links: list[tuple[SwitchLink, ...]] = field(default_factory=list, repr=False)
+    _down_links: list[tuple[SwitchLink, ...]] = field(
         default_factory=list, repr=False
     )
+    _moves: list[tuple[tuple[Hop, int], ...]] = field(
+        default_factory=list, repr=False
+    )
+    """Per state: the legal (hop, next state) moves, in link order."""
+    _rev: list[list[int]] = field(default_factory=list, repr=False)
+    """Per state: the states with a legal move into it."""
+    _dist: list[list[int] | None] = field(default_factory=list, repr=False)
+    """Per destination, once queried: hop count per state (-1: unreachable)."""
+    _hops: list[list[tuple[Hop, ...] | None] | None] = field(
+        default_factory=list, repr=False
+    )
+    """Per destination, once queried: next hops per state, filled on demand."""
 
     # ------------------------------------------------------------------
     # Construction
@@ -62,7 +86,7 @@ class UpDownRouting:
     def build(
         cls, topo: NetworkTopology, root: int = 0, orientation: str = "bfs"
     ) -> "UpDownRouting":
-        """Compute the orientation and all-pairs minimal-route tables.
+        """Compute the orientation and the (switch, phase) state graph.
 
         ``orientation`` selects the spanning structure the up/down rule is
         anchored to: ``"bfs"`` is the paper's Autonet rule (closer to the
@@ -110,84 +134,76 @@ class UpDownRouting:
         """Phase a packet is in *after* crossing ``link`` from ``from_switch``."""
         return Phase.UP if self.is_up_traversal(link, from_switch) else Phase.DOWN
 
-    def down_links_of(self, switch: int) -> list[SwitchLink]:
+    def down_links_of(self, switch: int) -> tuple[SwitchLink, ...]:
         """Links whose traversal out of ``switch`` goes down (toward leaves)."""
-        return [
-            lk for lk in self.topo.links_of(switch) if not self.is_up_traversal(lk, switch)
-        ]
+        return self._down_links[switch]
 
-    def up_links_of(self, switch: int) -> list[SwitchLink]:
+    def up_links_of(self, switch: int) -> tuple[SwitchLink, ...]:
         """Links whose traversal out of ``switch`` goes up (toward the root)."""
-        return [
-            lk for lk in self.topo.links_of(switch) if self.is_up_traversal(lk, switch)
-        ]
+        return self._up_links[switch]
 
     # ------------------------------------------------------------------
     # Minimal-route tables
     # ------------------------------------------------------------------
-    def _legal_transitions(self, switch: int, phase: Phase) -> list[tuple[SwitchLink, int, Phase]]:
-        """All (link, neighbour, next phase) moves legal from a state."""
-        out: list[tuple[SwitchLink, int, Phase]] = []
-        for lk in self.topo.links_of(switch):
-            t = lk.other_end(switch).switch
-            if self.is_up_traversal(lk, switch):
-                if phase is Phase.UP:
-                    out.append((lk, t, Phase.UP))
-            else:
-                out.append((lk, t, Phase.DOWN))
-        return out
-
     def _compute_tables(self) -> None:
-        """All-pairs BFS over the (switch, phase) state graph, per destination."""
+        """Build the destination-independent state graph from ``_up_end``.
+
+        Call again after editing ``_up_end``: it rebuilds the per-switch
+        up/down link lists and the moves, and drops every per-destination
+        table.
+        """
         S = self.topo.num_switches
-        self._dist = [dict() for _ in range(S)]
-        self._hops = [dict() for _ in range(S)]
-        states = [(s, p) for s in range(S) for p in (Phase.UP, Phase.DOWN)]
-        trans = {st: self._legal_transitions(*st) for st in states}
-        # The per-destination backward BFS runs on flat integer state ids
-        # with the (destination-independent) reverse adjacency built once:
-        # at 512-1024 switches rebuilding the
-        # adjacency per destination and hashing (switch, Phase) tuples in
-        # the inner loops dominated table construction.  The enum-keyed
-        # dicts stay the external table format, and visit/append orders are
-        # unchanged, so the resulting tables are identical.
-        sid = {st: i for i, st in enumerate(states)}
-        rev: list[list[int]] = [[] for _ in states]
-        moves_of: list[list[tuple[Hop, int]]] = [[] for _ in states]
-        for st, moves in trans.items():
-            i = sid[st]
-            for lk, t, np_ in moves:
-                j = sid[(t, np_)]
-                moves_of[i].append((Hop(lk, t, np_), j))
+        up_links: list[list[SwitchLink]] = [[] for _ in range(S)]
+        down_links: list[list[SwitchLink]] = [[] for _ in range(S)]
+        moves: list[list[tuple[Hop, int]]] = [[] for _ in range(2 * S)]
+        up_end = self._up_end
+        for s in range(S):
+            for lk in self.topo.links_of(s):
+                t = lk.other_end(s).switch
+                if up_end[lk.link_id] != s:  # crossing goes up
+                    up_links[s].append(lk)
+                    moves[2 * s].append((Hop(lk, t, Phase.UP), 2 * t))
+                else:
+                    down_links[s].append(lk)
+                    hop = Hop(lk, t, Phase.DOWN)
+                    moves[2 * s].append((hop, 2 * t + 1))
+                    moves[2 * s + 1].append((hop, 2 * t + 1))
+        rev: list[list[int]] = [[] for _ in range(2 * S)]
+        for i, state_moves in enumerate(moves):
+            for _, j in state_moves:
                 rev[j].append(i)
-        for dest in range(S):
-            dist = [-1] * len(states)
-            up, down = sid[(dest, Phase.UP)], sid[(dest, Phase.DOWN)]
-            dist[up] = dist[down] = 0
-            frontier = [up, down]
-            d = 0
-            while frontier:
-                d += 1
-                nxt: list[int] = []
-                for i in frontier:
-                    for p in rev[i]:
-                        if dist[p] < 0:
-                            dist[p] = d
-                            nxt.append(p)
-                frontier = nxt
-            dest_dist = self._dist[dest]
-            dest_hops = self._hops[dest]
-            for i, st in enumerate(states):
-                if dist[i] < 0:
-                    continue
-                dest_dist[st] = dist[i]
-                if st[0] == dest:
-                    dest_hops[st] = ()
-                    continue
-                want = dist[i] - 1
-                dest_hops[st] = tuple(
-                    hop for hop, j in moves_of[i] if dist[j] == want
-                )
+        self._up_links = [tuple(links) for links in up_links]
+        self._down_links = [tuple(links) for links in down_links]
+        self._moves = [tuple(m) for m in moves]
+        self._rev = rev
+        self._dist = [None] * S
+        self._hops = [None] * S
+
+    def _solve(self, dest: int) -> list[int]:
+        """Backward BFS from ``dest``'s two states: hop count per state."""
+        rev = self._rev
+        dist = [-1] * len(rev)
+        dist[2 * dest] = dist[2 * dest + 1] = 0
+        frontier = [2 * dest, 2 * dest + 1]
+        d = 0
+        while frontier:
+            d += 1
+            nxt: list[int] = []
+            for i in frontier:
+                for p in rev[i]:
+                    if dist[p] < 0:
+                        dist[p] = d
+                        nxt.append(p)
+            frontier = nxt
+        self._dist[dest] = dist
+        self._hops[dest] = [None] * len(rev)
+        return dist
+
+    def _state_dist(self, switch: int, phase: Phase, dest: int) -> int:
+        dist = self._dist[dest]
+        if dist is None:
+            dist = self._solve(dest)
+        return dist[2 * switch + (phase is _DOWN)]
 
     def distance(self, src: int, dest: int, phase: Phase = Phase.UP) -> int:
         """Minimal legal hop count between switches from a given phase.
@@ -196,7 +212,10 @@ class UpDownRouting:
             KeyError: if ``dest`` is unreachable from the state (cannot
                 happen for ``Phase.UP`` starts in a connected network).
         """
-        return self._dist[dest][(src, phase)]
+        d = self._state_dist(src, phase, dest)
+        if d < 0:
+            raise KeyError((src, phase))
+        return d
 
     def next_hops(self, switch: int, phase: Phase, dest: int) -> tuple[Hop, ...]:
         """Candidate next hops on minimal legal routes toward ``dest``.
@@ -206,8 +225,24 @@ class UpDownRouting:
         ``KeyError`` -- by up*/down* correctness this never occurs for routes
         produced by this table itself.
         """
-        return self._hops[dest][(switch, phase)]
+        hops = self._hops[dest]
+        if hops is None:
+            self._solve(dest)
+            hops = self._hops[dest]
+        i = 2 * switch + (phase is _DOWN)
+        found = hops[i]
+        if found is None:
+            # Filled on first query, from the state's moves in link order.
+            dist = self._dist[dest]
+            if dist[i] < 0:
+                raise KeyError((switch, phase))
+            want = dist[i] - 1
+            found = () if switch == dest else tuple(
+                hop for hop, j in self._moves[i] if dist[j] == want
+            )
+            hops[i] = found
+        return found
 
     def reachable(self, switch: int, phase: Phase, dest: int) -> bool:
         """Whether ``dest`` has any legal route from the state at all."""
-        return (switch, phase) in self._dist[dest]
+        return self._state_dist(switch, phase, dest) >= 0

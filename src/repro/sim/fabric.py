@@ -153,14 +153,17 @@ class Fabric:
                 )
 
     def _make(self, kind: str, delay: int, downstream_buffer: int, **kw) -> Channel:
+        lanes = self.params.vc_count
+        # With one lane the pointer is ``seed % 1 == 0`` whatever the seed.
+        seed = _lane_seed(self.params.route_seed, self._uid) if lanes > 1 else 0
         ch = Channel(
             self.engine,
             self._uid,
             kind,
             delay,
             downstream_buffer,
-            lanes=self.params.vc_count,
-            lane_seed=_lane_seed(self.params.route_seed, self._uid),
+            lanes=lanes,
+            lane_seed=seed,
             **kw,
         )
         self._uid += 1

@@ -17,6 +17,7 @@ The composite send/receive pipelines the three multicast schemes share are in
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 from repro.sim.resources import FifoResource, ThroughputResource
@@ -27,7 +28,9 @@ class Host:
     """One node's processors and local transfer resources."""
 
     def __init__(self, net: "SimNetwork", node: int) -> None:  # noqa: F821
-        self.net = net
+        # Weak, so a network nothing else holds is freed by reference
+        # counting instead of waiting for the cycle collector.
+        self._net = weakref.ref(net)
         self.node = node
         engine = net.engine
         self.cpu = FifoResource(engine, name=f"cpu:{node}")
@@ -35,6 +38,11 @@ class Host:
         self.bus = ThroughputResource(
             engine, net.params.io_bus_flits_per_cycle, name=f"iobus:{node}"
         )
+
+    @property
+    def net(self) -> "SimNetwork":  # noqa: F821
+        """The network this host belongs to."""
+        return self._net()
 
     # ------------------------------------------------------------------
     # Primitives

@@ -174,8 +174,12 @@ class HostReceiver:
     def _after_dma(self) -> None:
         self._dma_done += 1
         if self._dma_done == self.n_packets:
+            # Dropped once it fires: schemes hang closures on it that refer
+            # back to their receivers, and a finished message must not keep
+            # that cycle (and the network it holds) alive.
+            on_delivered, self.on_delivered = self.on_delivered, None
             self.host.cpu_task(
-                lambda: self.on_delivered(self.host.net.engine.now)
+                lambda: on_delivered(self.host.net.engine.now)
             )
 
 

@@ -45,7 +45,8 @@ class ChaosStats:
 class SimNetwork:
     """One simulated irregular-network system instance.
 
-    Construction computes routing tables and reachability once; many
+    Construction builds the up*/down* state graph and reachability once
+    (routes toward a destination are solved on its first query); many
     messages/experiments can then run on the same instance.  Instances are
     single-engine: do not share across concurrently running engines.
     """

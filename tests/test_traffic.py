@@ -1,7 +1,12 @@
 """Tests for the single-multicast and load traffic drivers."""
 
+import gc
+import weakref
+
 import pytest
 
+import repro.traffic.single as single
+from repro.multicast import SCHEMES
 from repro.params import SimParams
 from repro.topology.irregular import generate_irregular_topology
 from repro.traffic.load import (
@@ -53,6 +58,32 @@ class TestSingleDriver:
             strategy="greedy",
         )
         assert s_lg.count == s_greedy.count == 1
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_finished_network_freed_by_refcount(self, scheme, monkeypatch):
+        """No reference cycle holds a finished network: with the cycle
+        collector off it is gone as soon as the call returns."""
+        built = []
+
+        class Recorded(single.SimNetwork):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(single, "SimNetwork", Recorded)
+        topo = topo_default()
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            res = measure_single_multicast(
+                topo, SimParams(), scheme, 0, [5, 9, 17, 21, 26, 30]
+            )
+            assert res.complete
+            assert len(built) == 1 and built[0]() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_draw_multicast_valid(self):
         import random
