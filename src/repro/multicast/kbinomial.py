@@ -49,22 +49,28 @@ def build_k_binomial_tree(members: list[int], k: int) -> dict[int, list[int]]:
     if len(set(members)) != len(members):
         raise ValueError("duplicate members")
     tree: dict[int, list[int]] = {m: [] for m in members}
-
-    def rec(mem: list[int]) -> None:
-        root, rest = mem[0], mem[1:]
-        sent = 0
-        while rest:
-            if sent == k - 1:
-                group, rest = rest, []
-            else:
-                take = (len(rest) + 1) // 2
-                group, rest = rest[:take], rest[take:]
-            tree[root].append(group[0])
-            rec(group)
-            sent += 1
-
-    rec(list(members))
+    _hand_out(tree, list(members), k)
     return tree
+
+
+def _hand_out(tree: dict[int, list[int]], mem: list[int], k: int) -> None:
+    """Give ``mem[0]`` its children in ``tree`` for the members ``mem[1:]``.
+
+    A module-level function rather than a recursive closure: the closure
+    would be a reference cycle holding the whole tree until the cycle
+    collector runs, and ``choose_k`` builds up to ``MAX_K`` trees per plan.
+    """
+    root, rest = mem[0], mem[1:]
+    sent = 0
+    while rest:
+        if sent == k - 1:
+            group, rest = rest, []
+        else:
+            take = (len(rest) + 1) // 2
+            group, rest = rest[:take], rest[take:]
+        tree[root].append(group[0])
+        _hand_out(tree, group, k)
+        sent += 1
 
 
 def _post_order(
@@ -155,13 +161,20 @@ def choose_k(
 ) -> tuple[int, dict[int, list[int]]]:
     """Pick the fan-out minimising the analytic FPFS completion estimate."""
     members = [source] + ordered_dests
+    # Every candidate tree runs over the same members, so each pair's
+    # latency is looked up once for all of them.
+    latencies: dict[tuple[int, int], float] = {}
+
+    def hop_latency(a: int, b: int) -> float:
+        lat = latencies.get((a, b))
+        if lat is None:
+            lat = latencies[a, b] = base_packet_hop_latency(net, a, b)
+        return lat
+
     best: tuple[float, int, dict[int, list[int]]] | None = None
     for k in range(1, min(MAX_K, len(ordered_dests)) + 1):
         tree = build_k_binomial_tree(members, k)
-        est = estimate_fpfs_completion(
-            tree, source, net.params,
-            lambda a, b: base_packet_hop_latency(net, a, b),
-        )
+        est = estimate_fpfs_completion(tree, source, net.params, hop_latency)
         if best is None or est < best[0]:
             best = (est, k, tree)
     assert best is not None

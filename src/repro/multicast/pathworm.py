@@ -112,21 +112,36 @@ def _minimal_paths(
 ) -> list[list[SwitchLink]]:
     """Up to MAX_PATHS_PER_DEST minimal legal link paths between switches."""
     results: list[list[SwitchLink]] = []
-
-    def walk(here: int, phase, acc: list[SwitchLink]) -> bool:
-        if here == dst_switch:
-            results.append(list(acc))
-            return len(results) < MAX_PATHS_PER_DEST
-        for hop in rt.next_hops(here, phase, dst_switch):
-            acc.append(hop.link)
-            keep_going = walk(hop.to_switch, hop.next_phase, acc)
-            acc.pop()
-            if not keep_going:
-                return False
-        return True
-
-    walk(src_switch, Phase.UP, [])
+    _walk(rt, dst_switch, src_switch, Phase.UP, [], results)
     return results
+
+
+def _walk(
+    rt: UpDownRouting,
+    dst_switch: int,
+    here: int,
+    phase: Phase,
+    acc: list[SwitchLink],
+    results: list[list[SwitchLink]],
+) -> bool:
+    """Depth-first step of :func:`_minimal_paths`; False once it has enough.
+
+    A module-level function rather than a recursive closure, which would be
+    a reference cycle holding the routing tables until the cycle collector
+    runs.
+    """
+    if here == dst_switch:
+        results.append(list(acc))
+        return len(results) < MAX_PATHS_PER_DEST
+    for hop in rt.next_hops(here, phase, dst_switch):
+        acc.append(hop.link)
+        keep_going = _walk(
+            rt, dst_switch, hop.to_switch, hop.next_phase, acc, results
+        )
+        acc.pop()
+        if not keep_going:
+            return False
+    return True
 
 
 def best_single_worm(

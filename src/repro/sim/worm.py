@@ -25,8 +25,10 @@ both behaviours, and the cross-validation suite pins this model to it.
 
 Complexity: finalization is event-driven -- each grant or expansion
 re-attempts only the changed hop and the hops whose constraint walks are
-registered as blocked on it, so a grant costs O(affected hops x walk
-length) rather than rescanning the whole replication tree (see
+registered as blocked on it, rather than rescanning the whole replication
+tree.  Every bound a walk proves is kept on its hop for the worm's life, so
+each (hop, flit) bound is computed once per worm; a re-attempt only walks
+the part of its constraint horizon not yet proven (see
 :meth:`Worm._refinalize`).
 """
 
@@ -72,19 +74,6 @@ SteerFn = Callable[[int, object], list["Deliver | Forward"]]
 """(switch, state) -> replication instructions at this switch."""
 
 
-class _NotFinal(Exception):
-    """A tail-time bound still depends on a pending grant/expansion.
-
-    Carries the *blocker*: the ungranted/unexpanded hop the constraint walk
-    stopped at.  The failed hop parks itself on the blocker's waiter list
-    and is only re-attempted when that hop changes state.
-    """
-
-    def __init__(self, blocker: "_Hop") -> None:
-        super().__init__("tail-time bound not final")
-        self.blocker = blocker
-
-
 @dataclass
 class _Hop:
     """One granted-or-requested channel on the worm's replication tree."""
@@ -97,12 +86,17 @@ class _Hop:
     h: float | None = None  # header finished crossing; None until granted
     terminal: bool = False  # delivery hop: chain ends here
     expanded: bool = False  # children hops all created (requests issued)
-    children: list["_Hop"] = field(default_factory=list)
+    children: list[int] = field(default_factory=list)
+    """Creation indices of the child hops.  Indices, not hops: a tree of
+    parent and child references would be a cycle, and the worm's hops (with
+    their kept bounds) must die with it by reference counting."""
     release_scheduled: bool = False
     released: bool = False  # channel given back (normal tail or abort)
     counted: bool = False   # traffic committed to the channel's counters
     waiters: list["_Hop"] = field(default_factory=list, repr=False)
     """Hops whose last finalization attempt blocked on this hop."""
+    bounds: dict[int, float] = field(default_factory=dict, repr=False)
+    """Final send bounds proven so far: flit index -> cycle."""
 
 
 class Worm:
@@ -169,6 +163,8 @@ class Worm:
         self._started = False
         self._channels_used: set[int] = set()
         self._hops: list[_Hop] = []
+        self._blocker: _Hop | None = None
+        """The hop the last blocked :meth:`_send_bound` walk stopped at."""
 
     # ------------------------------------------------------------------
     # Launch
@@ -193,7 +189,7 @@ class Worm:
         self._channels_used.add(channel.uid)
         hop = _Hop(channel=channel, parent=parent, idx=len(self._hops))
         if parent is not None:
-            parent.children.append(hop)
+            parent.children.append(hop.idx)
         self._hops.append(hop)
         self._unreleased += 1
         return hop
@@ -248,8 +244,9 @@ class Worm:
             raise ValueError("Forward with no candidate channels")
         if len(options) == 1:
             return options[0]
-        best = min(self._load(o) for o in options)
-        pool = [o for o in options if self._load(o) == best]
+        loads = [self._load(o) for o in options]
+        best = min(loads)
+        pool = [o for o, load in zip(options, loads) if load == best]
         return pool[0] if len(pool) == 1 else self.rng.choice(pool)
 
     def _choose_vc(
@@ -339,12 +336,8 @@ class Worm:
         ground truth the fuzz oracles audit: every root-to-leaf chain must
         be a contiguous legal up*/down* route ending in a delivery channel.
         """
-        # Transient identity->index map: every hop is kept alive by
-        # self._hops for the whole comprehension (no id reuse window), and
-        # only the stable creation-order index leaves this method.
-        index = {id(h): i for i, h in enumerate(self._hops)}  # lint: disable=identity-in-sim -- hops pinned by self._hops; only indices escape
-        return [  # lint: disable=identity-in-sim -- same transient map, same pinned hops
-            (None if h.parent is None else index[id(h.parent)], h.channel)
+        return [
+            (None if h.parent is None else h.parent.idx, h.channel)
             for h in self._hops
         ]
 
@@ -364,53 +357,59 @@ class Worm:
     #
     #   send_h(m) >= grant_h + m                       (rate limit)
     #   send_h(m) >= send_parent(m) + delay_parent     (flit availability)
-    #   send_h(m) >= send_c(m - (B_h+1)) + delay_c - delay_h   per child c
-    #                                                  (buffer capacity;
-    #                                                   ALL children gate a
-    #                                                   fork's shared feed)
+    #   send_h(m) >= send_c(m - (B_h+1)) + delay_c - delay_h
+    #                                  (buffer capacity; only when c is h's
+    #                                   one child -- a fork's replication
+    #                                   buffers decouple its branches)
     #
     # The tail time of hop h is delay_h + send_h(L-1), computed by
     # relaxation over these constraint "walks".  Down-moves strictly
     # decrease the flit index by the buffer capacity, so the recursion
     # terminates; the value is *final* once every hop a walk can visit at a
     # non-negative index has been granted (and expanded, where its children
-    # matter).  For single-chain worms this reduces exactly to the old
-    # closed form; for replication trees it also captures a blocked branch
-    # starving its siblings through the shared buffer.
+    # matter).
     #
-    # Finalization is event-driven rather than a full rescan per grant: a
-    # walk aborts at its *first* ungranted/unexpanded hop, and nothing
-    # before that blocker can change (hops are granted before they expand
-    # and both transitions are one-way), so the walk's outcome is frozen
-    # until the blocker itself changes.  Each failed hop therefore parks on
-    # its blocker's waiter list, and a state change re-attempts exactly the
-    # changed hop plus its registered waiters -- O(affected) per grant, not
-    # O(all hops).  Candidates are re-attempted in hop-creation order, which
-    # keeps the engine's same-time event sequence identical to the full
-    # rescan (ties fire in schedule order).
+    # Hops are granted before they expand, both transitions are one-way,
+    # and a hop's children are fixed once it expands.  Two consequences:
+    #
+    # * A bound that returns without blocking is final, so each hop keeps it
+    #   in ``hop.bounds`` for the worm's life and no walk recomputes it.
+    #   Blocking is a ``None`` return, and a blocked walk keeps nothing for
+    #   the hops it was computing (their values would miss a term).
+    # * A walk stops at its *first* ungranted/unexpanded hop, and nothing
+    #   before that blocker can change, so the walk's outcome is frozen until
+    #   the blocker itself changes.  Each failed hop therefore parks on its
+    #   blocker's waiter list, and a state change re-attempts exactly the
+    #   changed hop plus its registered waiters -- O(affected) per grant,
+    #   not O(all hops).  Candidates are re-attempted in hop-creation order,
+    #   which keeps the engine's same-time event sequence identical to a
+    #   full rescan (ties fire in schedule order).
 
     def _refinalize(self, changed: _Hop) -> None:
         """Re-attempt tail finalization for ``changed`` and its waiters."""
         if self.aborted:
             return
-        candidates = [changed]
-        if changed.waiters:
-            candidates.extend(changed.waiters)
+        candidates = changed.waiters
+        if candidates:
             changed.waiters = []
-        candidates.sort(key=lambda h: h.idx)
-        L = self.length
-        memo: dict[tuple[int, int], float] = {}
+            candidates.append(changed)
+            candidates.sort(key=lambda h: h.idx)
+        else:
+            candidates = [changed]
+        last = self.length - 1
         now = self.engine.now
-        attempted: set[int] = set()
+        previous = -1
         for hop in candidates:
-            if hop.release_scheduled or hop.idx in attempted:
+            # A hop can be listed twice (changed and a waiter, or parked
+            # twice on one blocker); sorting made the copies adjacent.
+            if hop.idx == previous or hop.release_scheduled:
                 continue
-            attempted.add(hop.idx)
-            try:
-                tail = hop.channel.delay + self._send_bound(hop, L - 1, memo)
-            except _NotFinal as nf:
-                nf.blocker.waiters.append(hop)
+            previous = hop.idx
+            send = self._send_bound(hop, last)
+            if send is None:
+                self._blocker.waiters.append(hop)
                 continue
+            tail = hop.channel.delay + send
             hop.release_scheduled = True
             when = max(tail, now)
             self.engine.at(when, lambda h=hop: self._release(h))
@@ -419,36 +418,35 @@ class Worm:
                 assert node is not None
                 self.engine.at(when, lambda n=node: self._delivered(n))
 
-    def _send_bound(
-        self, hop: _Hop, idx: int, memo: dict[tuple[int, int], float]
-    ) -> float:
+    def _send_bound(self, hop: _Hop, idx: int) -> float | None:
         """Tightest lower bound on when flit ``idx`` enters ``hop``'s channel.
 
-        Raises :class:`_NotFinal` (carrying the blocking hop) when an
-        ungranted/unexpanded hop within the constraint horizon makes the
-        value still unbounded.
+        Returns ``None`` when an ungranted/unexpanded hop within the
+        constraint horizon leaves the value still unbounded, and records
+        that hop as :attr:`_blocker`.  A returned value is final and is kept
+        in ``hop.bounds``.
         """
+        bound = hop.bounds.get(idx)
+        if bound is not None:
+            return bound
         if hop.h is None:
-            raise _NotFinal(hop)
-        # The memo dict lives only for one tail-time computation and every
-        # hop in it is pinned by the replication tree, so identities are
-        # stable for the memo's whole lifetime and never escape it.
-        key = (id(hop), idx)  # lint: disable=identity-in-sim -- memo is call-local; hops pinned by the tree
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        grant = hop.h - hop.channel.delay
-        best = grant + idx
-        if hop.parent is not None:
-            best = max(
-                best,
-                self._send_bound(hop.parent, idx, memo)
-                + hop.parent.channel.delay,
-            )
+            self._blocker = hop
+            return None
+        delay = hop.channel.delay
+        bound = hop.h - delay + idx
+        parent = hop.parent
+        if parent is not None:
+            up = self._send_bound(parent, idx)
+            if up is None:
+                return None
+            up += parent.channel.delay
+            if up > bound:
+                bound = up
         cap = hop.channel.downstream_buffer + 1
-        if idx - cap >= 0 and not hop.terminal:
+        if idx >= cap and not hop.terminal:
             if not hop.expanded:
-                raise _NotFinal(hop)
+                self._blocker = hop
+                return None
             # Replicating switches provide deadlock-free replication
             # (paper section 3.3): every fork port has its own full-packet
             # replication buffer, so a blocked branch neither starves its
@@ -457,15 +455,15 @@ class Worm:
             # deadlock (the flit-level reference reproduces that), which is
             # precisely why the paper lists the support as a switch cost.
             if len(hop.children) == 1:
-                child = hop.children[0]
-                best = max(
-                    best,
-                    self._send_bound(child, idx - cap, memo)
-                    + child.channel.delay
-                    - hop.channel.delay,
-                )
-        memo[key] = best
-        return best
+                child = self._hops[hop.children[0]]
+                down = self._send_bound(child, idx - cap)
+                if down is None:
+                    return None
+                down = down + child.channel.delay - delay
+                if down > bound:
+                    bound = down
+        hop.bounds[idx] = bound
+        return bound
 
     def _release(self, hop: _Hop) -> None:
         if hop.released:

@@ -156,6 +156,10 @@ def run_load_experiment(
             net.engine.at(first, lambda n=node: issue(n))
 
     net.run(until=duration + drain_factor * duration)
+    # ``issue`` reaches itself through its closure cell, a cycle that would
+    # hold the network until the cycle collector runs; emptying the cell
+    # lets it die by reference counting.
+    del issue
     # Drop anything still outstanding past the drain horizon.
     completed = [r for r in measured if r.complete]
     lat = [r.latency for r in completed]

@@ -418,6 +418,9 @@ def run_workload(
     net.run(
         until=duration + drain_factor * duration, max_events=_MAX_EVENTS
     )
+    # The reliable layer's listener closes a cycle through the network;
+    # dropping it lets the network die by reference counting.
+    net.fault_listeners.clear()
 
     gave_up = 0
     for rec in records:

@@ -52,9 +52,8 @@ def test_repo_tree_is_analyze_clean(full_run):
     # The corpus schedules were replayed in the same invocation.
     assert result.epochs_verified
     assert result.exit_code == 0
-    # The identity-in-sim suppressions in sim/worm.py carry justifications
-    # and are the only expected ones; a new suppression needs a review here.
-    assert result.suppressed == 3
+    # The shipped tree needs no suppression; a new one needs a review here.
+    assert result.suppressed == 0
 
 
 def test_code_only_run_is_also_clean():

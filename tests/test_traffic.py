@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+import repro.traffic.load as load
 import repro.traffic.single as single
 from repro.multicast import SCHEMES
 from repro.params import SimParams
@@ -135,6 +136,29 @@ class TestLoadDriver:
         a = self.run_point(0.05)
         b = self.run_point(0.05)
         assert a == b
+
+    @pytest.mark.parametrize("scheme", ["ni", "tree", "path"])
+    def test_finished_network_freed_by_refcount(self, scheme, monkeypatch):
+        """No reference cycle holds a load point's network: with the cycle
+        collector off it is gone as soon as the call returns."""
+        built = []
+
+        class Recorded(load.SimNetwork):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(load, "SimNetwork", Recorded)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            p = self.run_point(0.05, scheme=scheme)
+            assert p.issued > 0
+            assert len(built) == 1 and built[0]() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_sweep_returns_point_per_load(self):
         pts = sweep_load(

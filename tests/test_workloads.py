@@ -20,10 +20,13 @@ Covers the contracts :mod:`repro.workloads` exists to keep:
   dividing by zero.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
+import repro.workloads.driver as driver
 from repro.collectives import ops as collectives
 from repro.experiments.runner import Cell, derive_seed, execute_cells, \
     execution_context
@@ -211,6 +214,35 @@ class TestExactlyOnce:
             assert {r.kind for r in completed} == set(COLLECTIVE_KINDS)
         for rec in completed:
             assert rec.delivered == want[rec.kind], (scheme, rec)
+
+
+class TestFaultedWorkload:
+    def test_finished_network_freed_by_refcount(self, monkeypatch):
+        """No reference cycle holds a faulted workload's network (the
+        reliable layer listens for faults on it): with the cycle collector
+        off it is gone as soon as the call returns."""
+        built = []
+
+        class Recorded(driver.SimNetwork):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(driver, "SimNetwork", Recorded)
+        topo = generate_topology_family(GOLDEN_PARAMS, 1)[0]
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            report = run_workload(
+                topo, GOLDEN_PARAMS, "tree", seed=5, rate=0.0006,
+                duration=12_000, kinds=("broadcast",), fault_count=1,
+            )
+            assert report.faults_fired == 1
+            assert built and all(ref() is None for ref in built)
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,16 @@ header crossing = grant + channel delay; per-switch routing decode =
 the buffer-capacity recurrence in :mod:`repro.sim.worm`.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from tests.topo_fixtures import make_diamond, make_line, make_star
+from repro.fuzz.generator import generate_scenario
+from repro.multicast import make_scheme
 from repro.params import SimParams
+from repro.routing.reachability import header_flits
 from repro.sim.engine import Engine
 from repro.sim.network import SimNetwork
 from repro.sim.worm import Deliver, Forward, Worm
@@ -272,6 +278,83 @@ class TestReplication:
         assert len(done) == 1
         assert worm.finish_time == done[0]
         net.assert_quiescent()
+
+
+class TestKeptBounds:
+    """Every send bound a worm keeps equals a fresh recomputation.
+
+    A hop keeps a bound only once no ungranted or unexpanded hop can change
+    it.  Recomputing each kept bound on the finished worm, with every kept
+    bound cleared first, must give the same cycle; a bound kept from a
+    blocked walk misses a constraint term and differs.
+    """
+
+    @staticmethod
+    def _run(buffer: int, packet_flits: int, vc_count: int, index: int):
+        scenario = generate_scenario(
+            23, index, fault_rate=0.0, churn_rate=0.0, collective_rate=0.0,
+            vc_count=vc_count,
+        )
+        params = scenario.params.replace(
+            input_buffer_flits=buffer, packet_flits=packet_flits
+        )
+        net = SimNetwork(scenario.topo, params)
+        net.worm_log = []
+        # All three schemes at once from one source: they contend for the
+        # source's injection channel and the fabric, so walks block.
+        for name in ("ni", "tree", "path"):
+            if name == "tree" and header_flits(params.num_nodes) >= packet_flits:
+                continue  # the bit-string header leaves no payload room
+            make_scheme(name).execute(
+                net, scenario.source, list(scenario.dests)
+            )
+        net.run()
+        return net.worm_log
+
+    @pytest.mark.parametrize("vc_count", [1, 4])
+    @pytest.mark.parametrize("packet_flits", [2, 16])
+    @pytest.mark.parametrize("buffer", [1, 2, 4, 64])
+    def test_kept_bound_equals_fresh_recomputation(
+        self, buffer, packet_flits, vc_count
+    ):
+        checked = below_tail = 0
+        for index in range(4):
+            for worm in self._run(buffer, packet_flits, vc_count, index):
+                assert worm.finish_time is not None
+                hops = worm._hops
+                kept = [
+                    (hop, idx, bound)
+                    for hop in hops
+                    for idx, bound in hop.bounds.items()
+                ]
+                for hop, idx, bound in kept:
+                    for h in hops:
+                        h.bounds.clear()
+                    assert worm._send_bound(hop, idx) == bound
+                    below_tail += idx < packet_flits - 1
+                checked += len(kept)
+        assert checked > 0
+        # A packet longer than one buffer plus the channel walks down the
+        # route, so bounds below the tail flit are kept as well.
+        assert (below_tail > 0) == (packet_flits > buffer + 1)
+
+    def test_finished_worm_frees_its_hops_by_refcount(self):
+        """No reference cycle holds a hop: with the cycle collector off, the
+        hops and their kept bounds are gone as soon as the worm is."""
+        net = SimNetwork(make_line(3), SimParams(input_buffer_flits=4))
+        worm = launch_unicast(net, 0, 2, [])
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            net.run()
+            hops = [weakref.ref(h) for h in worm._hops]
+            assert all(h().bounds for h in hops)
+            del worm
+            assert [h() for h in hops] == [None] * len(hops)
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestWormGuards:
