@@ -39,16 +39,13 @@ def run_background_traffic(profile: Profile, base: SimParams | None = None) -> E
     dests = rng.sample([n for n in range(base.num_nodes) if n != source], 16)
     series = []
     for scheme in ENHANCED_SCHEMES:
-        ys: list[float | None] = []
+        ys: list[float] = []
         for load in BACKGROUND_LOADS:
-            try:
-                r = multicast_under_background(
-                    topo, base, scheme, source, dests, load,
-                    warmup=profile.load_warmup, seed=profile.seed,
-                )
-                ys.append(r.multicast_latency)
-            except RuntimeError:
-                ys.append(None)
+            r = multicast_under_background(
+                topo, base, scheme, source, dests, load,
+                warmup=profile.load_warmup, seed=profile.seed,
+            )
+            ys.append(r.multicast_latency)
         series.append(
             Series(
                 label=f"bg/{scheme}",

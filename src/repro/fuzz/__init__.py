@@ -1,8 +1,8 @@
 """Differential fuzzing harness with invariant oracles.
 
-The dynamic counterpart to :mod:`repro.lint`: where the linter proves
-structural invariants statically on pinned configurations, the fuzzer hunts
-for divergence continuously -- seeded random irregular systems (optionally
+The dynamic counterpart to :mod:`repro.routing.invariants`: where those
+checkers prove structural invariants statically on pinned configurations,
+the fuzzer hunts for divergence continuously -- seeded random irregular systems (optionally
 link-degraded), every multicast scheme and both simulator backends, a suite
 of semantic oracles, automatic delta-debugging of failures, and a committed
 corpus that replays every past reproducer as part of tier-1.

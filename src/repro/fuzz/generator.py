@@ -203,7 +203,8 @@ def generate_scenario(
     )
     if any(name == "tree" for name, _ in schemes):
         # The tree scheme's N-bit header (plus source id) must leave payload
-        # room in the packet -- the same capacity rule repro.lint enforces.
+        # room in the packet -- the capacity rule of
+        # repro.routing.invariants.header_problems.
         flits = header_flits(n)
         if flits >= params.packet_flits:
             params = params.replace(packet_flits=flits + rng.choice([1, 4]))

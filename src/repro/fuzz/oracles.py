@@ -18,16 +18,15 @@ every fuzz scenario:
   :func:`repro.multicast.pathworm.verify_plan`; the tree scheme's plan
   passes :func:`repro.multicast.treeworm.verify_tree_plan` (a legal up
   path to a turn switch that down-covers the destination set);
-* **epoch-static** -- for scenarios with a fault schedule: the
-  epoch-sequence verifier (:mod:`repro.analyze.epochs`) statically proves
+* **epoch-static** -- for scenarios with a fault schedule:
+  :func:`repro.routing.invariants.verify_epoch_sequence` statically proves
   CDG acyclicity and reachability completeness at every routing epoch the
   schedule reaches, before any dynamic replay is attempted;
 * **header** -- the bit-string header round-trips and fits the configured
-  packet (:func:`repro.routing.invariants.header_problems`, shared with
-  the lint model rule);
+  packet (:func:`repro.routing.invariants.header_problems`);
 * **reachability** -- the reachability table agrees with its orientation's
   witness (:func:`repro.routing.invariants.reachability_problems`, shared
-  with lint and the epoch verifier: BFS-subtree coverage, or DFS preorder
+  with the epoch verifier: BFS-subtree coverage, or DFS preorder
   labels, self-reachable attached nodes and a root covering every node);
 * **conservation** -- per-channel flit/worm counters equal the sum over
   audited worms that crossed the channel (flits are neither lost nor
@@ -82,7 +81,12 @@ from repro.chaos import FaultInjector, FaultSchedule, ReliableMulticast
 from repro.multicast import make_scheme
 from repro.multicast.pathworm import plan_path_worms, verify_plan
 from repro.multicast.treeworm import verify_tree_plan
-from repro.routing.invariants import header_problems, reachability_problems
+from repro.routing.invariants import (
+    EpochProblem,
+    header_problems,
+    reachability_problems,
+    verify_epoch_sequence,
+)
 from repro.routing.paths import updown_decomposition
 from repro.routing.reachability import (
     ReachabilityTable,
@@ -633,6 +637,22 @@ def _check_collectives(scenario: FuzzScenario, report: ScenarioReport) -> None:
                 f"collectives run crashed: {type(exc).__name__}: {exc}"))
 
 
+def verify_scenario_epochs(scenario: FuzzScenario) -> list[EpochProblem]:
+    """Verify a scenario's fault schedule epoch by epoch.
+
+    Links fail in the order the chaos :class:`FaultInjector` arms them:
+    :meth:`FaultSchedule.from_pairs` order, i.e. by fire time with ties
+    broken by link id.  Scenarios without a schedule still get their
+    epoch-0 proof.
+    """
+    schedule = FaultSchedule.from_pairs(list(scenario.fault_schedule))
+    return verify_epoch_sequence(
+        scenario.topo,
+        [ev.link_id for ev in schedule.events],
+        orientation=scenario.params.routing_tree,
+    )
+
+
 def run_oracles(scenario: FuzzScenario) -> ScenarioReport:
     """Run every oracle on one scenario; the full differential pass."""
     report = ScenarioReport(scenario=scenario)
@@ -644,8 +664,6 @@ def run_oracles(scenario: FuzzScenario) -> ScenarioReport:
     # provably unsafe would make the dynamic chaos run's failures
     # uninterpretable, so it is caught here first.
     if scenario.fault_schedule:
-        from repro.analyze.epochs import verify_scenario_epochs
-
         for problem in verify_scenario_epochs(scenario):
             report.violations.append(Violation(
                 "epoch-static", "topology", problem.message()))

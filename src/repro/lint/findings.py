@@ -19,12 +19,8 @@ class Severity(enum.Enum):
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at one location.
-
-    ``path`` is the file the finding anchors to; model-rule findings use the
-    synthetic path ``<model:LABEL>`` naming the topology context instead, with
-    line 0.
-    """
+    """One rule violation at one location (``path`` is the file it anchors
+    to)."""
 
     rule: str
     severity: Severity

@@ -1,11 +1,10 @@
 """Rule registry: every lint rule declares itself here.
 
-Three rule kinds exist, distinguished by what they inspect:
+Two rule kinds exist, distinguished by what they inspect:
 
 * ``code`` rules visit one file's AST at a time (the determinism rules);
-* ``project`` rules see every scanned file at once (import cycles);
-* ``model`` rules inspect a loaded topology + routing rather than source
-  text (the paper's structural invariants).
+* ``project`` rules see every scanned file at once (import cycles and the
+  whole-program analyzers).
 
 Registration happens at import time of the rule modules; the engine imports
 them and iterates the registry, so adding a rule is one decorated function.
@@ -33,7 +32,7 @@ class Rule:
 
     rule_id: str
     kind: str
-    """``code`` | ``project`` | ``model``."""
+    """``code`` | ``project``."""
 
     severity: Severity
     description: str
@@ -46,15 +45,13 @@ class Rule:
 
     check: Callable
     """code: (tree, path, scope) -> list[Finding];
-    project: (files: dict[str, ParsedFile]) -> list[Finding];
-    model: (ctx: ModelContext) -> list[Finding]."""
+    project: (files: dict[str, ParsedFile]) -> list[Finding]."""
 
 
 CODE_RULES: dict[str, Rule] = {}
 PROJECT_RULES: dict[str, Rule] = {}
-MODEL_RULES: dict[str, Rule] = {}
 
-_KIND_TABLE = {"code": CODE_RULES, "project": PROJECT_RULES, "model": MODEL_RULES}
+_KIND_TABLE = {"code": CODE_RULES, "project": PROJECT_RULES}
 
 
 def rule(

@@ -14,22 +14,6 @@ META_RULES: dict[str, str] = {
         "every suppression of a whole-program analyzer rule must say *why* "
         "it is safe (append ' -- <reason>' to the disable comment)"
     ),
-    "epoch-cdg-cycle": (
-        "the multicast-extended channel dependency graph must stay acyclic "
-        "at every routing epoch a fault schedule reaches"
-    ),
-    "epoch-reachability": (
-        "down-port reachability strings must agree with the orientation's "
-        "witness (BFS subtrees, or DFS preorder labels) at every routing "
-        "epoch"
-    ),
-    "epoch-disconnect": (
-        "every scheduled fault must leave the switch graph connected "
-        "(otherwise reconfiguration cannot absorb it)"
-    ),
-    "epoch-corpus-unreadable": (
-        "every committed corpus entry must load as a valid scenario"
-    ),
 }
 """Findings the engine emits itself (no registry entry)."""
 
@@ -40,15 +24,9 @@ def render_text(result: LintResult) -> str:
     n_err = len(result.errors)
     n_warn = len(result.findings) - n_err
     summary = (
-        f"{result.files_scanned} file(s), "
-        f"{result.contexts_checked} model context(s)"
+        f"{result.files_scanned} file(s): "
+        f"{n_err} error(s), {n_warn} warning(s)"
     )
-    if result.epochs_verified:
-        summary += (
-            f", {len(result.epochs_verified)} corpus entr(ies) / "
-            f"{sum(result.epochs_verified.values())} epoch(s) verified"
-        )
-    summary += f": {n_err} error(s), {n_warn} warning(s)"
     if result.suppressed:
         summary += f", {result.suppressed} suppressed"
     lines.append(summary)
@@ -60,7 +38,6 @@ def render_json(result: LintResult) -> str:
     payload = {
         "version": 1,
         "files_scanned": result.files_scanned,
-        "contexts_checked": result.contexts_checked,
         "suppressed": result.suppressed,
         "counts": {
             "error": len(result.errors),
@@ -69,7 +46,6 @@ def render_json(result: LintResult) -> str:
             ),
         },
         "findings": [f.to_json() for f in result.findings],
-        "epochs_verified": result.epochs_verified,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -77,13 +53,10 @@ def render_json(result: LintResult) -> str:
 def render_rule_list() -> str:
     """``--list-rules``: id, kind, scope, and the paper-tied rationale."""
     import repro.analyze.rules  # noqa: F401  (registers the analyzer rules)
-    import repro.lint.model_rules  # noqa: F401  (registers the model rules)
 
     blocks = []
     for rule_id, r in sorted(all_rules().items()):
         scope = "all code" if r.scopes is None else "/".join(sorted(r.scopes))
-        if r.kind == "model":
-            scope = "topology+routing"
         blocks.append(
             f"{rule_id} [{r.kind}, {r.severity.value}, scope: {scope}]\n"
             f"  {r.description}\n"

@@ -247,10 +247,13 @@ def escape_subgraph(
 def build_unrestricted_cdg(topo: NetworkTopology) -> dict[ChannelKey, set[ChannelKey]]:
     """Negative control: minimal-path routing with *no* up/down restriction.
 
-    Every channel entering a switch may request any outgoing link channel on
-    a shortest path (plain BFS distances) to any destination.  On topologies
-    with cycles this CDG is cyclic -- the deadlock the up*/down* rule exists
-    to prevent.
+    A channel entering switch ``s`` from ``u`` may request any outgoing link
+    channel on a shortest path (plain BFS distances) to any destination the
+    entering channel is itself minimal toward (``u`` one hop farther than
+    ``s``); injection channels may request toward every destination.  On
+    topologies with cycles this CDG is cyclic -- the deadlock the up*/down*
+    rule exists to prevent -- while trees stay acyclic, since a minimal
+    route never turns back.
     """
     from repro.topology.analysis import switch_distances
 
@@ -262,8 +265,11 @@ def build_unrestricted_cdg(topo: NetworkTopology) -> dict[ChannelKey, set[Channe
         s = _arrival_switch(topo, links, chan)
         if s is None:
             continue
+        u = chan[2] if chan[0] == "fwd" else None
         for dest_node in range(topo.num_nodes):
             dest_switch = topo.switch_of_node(dest_node)
+            if u is not None and dist[u][dest_switch] != dist[s][dest_switch] + 1:
+                continue
             if dest_switch == s:
                 deps[chan].add(("del", dest_node))
                 continue

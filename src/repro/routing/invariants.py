@@ -16,11 +16,15 @@ module holds the single implementation of each:
   (Section 3.3).
 
 Every function returns plain problem strings (empty means the invariant
-holds); lint, the epoch verifier, fuzz and ``repro-experiments validate``
-wrap them in their own finding types.
+holds); fuzz and ``repro-experiments validate`` wrap them in their own
+finding types.  :func:`verify_epoch_sequence` composes the first two over
+every routing epoch a fault schedule walks the system through.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.routing.deadlock import build_multicast_cdg, find_cycle
 from repro.routing.dfs_tree import dfs_preorder_labels
@@ -31,6 +35,7 @@ from repro.routing.reachability import (
     node_id_bits,
 )
 from repro.routing.updown import UpDownRouting
+from repro.topology.faults import remove_link
 from repro.topology.graph import NetworkTopology
 
 
@@ -162,3 +167,74 @@ def header_problems(num_nodes: int, packet_flits: int) -> list[str]:
         f"source-id bits at {FLIT_BITS} bits/flit) but packets are only "
         f"{packet_flits} flits -- no room for payload"
     ]
+
+
+RoutingBuilder = Callable[[NetworkTopology, int], UpDownRouting]
+"""``(degraded_topo, epoch) -> routing`` -- injectable so tests can plant a
+corrupt orientation at a chosen epoch."""
+
+
+@dataclass(frozen=True)
+class EpochProblem:
+    """One invariant violation at one routing epoch."""
+
+    epoch: int
+    kind: str
+    """``cdg-cycle``, ``reachability``, or ``disconnect``."""
+
+    detail: str
+
+    def message(self) -> str:
+        return f"epoch {self.epoch}: {self.kind}: {self.detail}"
+
+
+def verify_epoch_sequence(
+    topo: NetworkTopology,
+    fault_links: tuple[int, ...] | list[int],
+    orientation: str = "bfs",
+    routing_builder: RoutingBuilder | None = None,
+) -> list[EpochProblem]:
+    """Statically replay a fault sequence; prove CDG acyclicity and
+    reachability at every routing epoch.
+
+    A chaos fault schedule walks the system through a sequence of epochs:
+    each fault removes a link and Autonet-style reconfiguration rebuilds
+    the up*/down* orientation.  Epoch 0 is the intact topology; epoch ``k``
+    is after the first ``k`` faults, rebuilt with ``routing_builder``
+    (default: the same :meth:`UpDownRouting.build` call
+    :meth:`SimNetwork.reconfigure` makes).  A fault that would disconnect
+    the switch graph is itself a finding (the chaos layer could never
+    absorb it), and replay stops there.
+
+    Returns the (possibly empty) problem list; empty means the whole
+    sequence is proven safe.
+    """
+    def build(current: NetworkTopology, epoch: int) -> UpDownRouting:
+        if routing_builder is not None:
+            return routing_builder(current, epoch)
+        return UpDownRouting.build(current, orientation=orientation)
+
+    problems: list[EpochProblem] = []
+    current = topo
+    for epoch in range(len(fault_links) + 1):
+        routing = build(current, epoch)
+        reach = ReachabilityTable.build(routing)
+        for kind, details in (
+            ("cdg-cycle", cdg_problems(current, routing)),
+            ("reachability", reachability_problems(reach, orientation)),
+        ):
+            problems.extend(
+                EpochProblem(epoch=epoch, kind=kind, detail=d) for d in details
+            )
+        if epoch == len(fault_links):
+            break
+        link_id = fault_links[epoch]
+        try:
+            current = remove_link(current, link_id)
+        except ValueError as exc:
+            problems.append(EpochProblem(
+                epoch=epoch + 1, kind="disconnect",
+                detail=f"fault on link {link_id} is not absorbable: {exc}",
+            ))
+            break
+    return problems

@@ -12,7 +12,6 @@ import textwrap
 
 import pytest
 
-from repro.analyze.epochs import verify_epoch_sequence
 from repro.lint import run_lint
 from repro.lint.suppress import (
     find_suppression,
@@ -20,6 +19,7 @@ from repro.lint.suppress import (
     statement_anchors,
 )
 from repro.routing.bfs_tree import build_bfs_tree
+from repro.routing.invariants import verify_epoch_sequence
 from repro.routing.updown import UpDownRouting
 from repro.topology.graph import NetworkTopology, PortRef, SwitchLink
 
@@ -33,7 +33,7 @@ def write_tree(root: pathlib.Path, files: dict[str, str]) -> pathlib.Path:
 
 
 def analyze(root: pathlib.Path):
-    return run_lint([root], run_model=False)
+    return run_lint([root])
 
 
 def rules_found(result) -> set[str]:
@@ -277,7 +277,7 @@ class TestLintBridge:
                 for n in set(nodes):
                     engine.at(1.0, n)
         """})
-        result = run_lint([root], run_model=False)
+        result = run_lint([root])
         assert {"identity-in-sim", "unordered-into-sink"} <= \
             {f.rule for f in result.findings}
 
@@ -297,7 +297,7 @@ class TestSuppressions:
                 return key
         """
         root = write_tree(tmp_path, {"sim/multi.py": source})
-        result = run_lint([root], run_model=False)
+        result = run_lint([root])
         assert result.findings == []
         assert result.suppressed == 1
         # Control: without the comment the same tree is flagged on the
@@ -308,7 +308,7 @@ class TestSuppressions:
                 "",
             ),
         })
-        flagged = run_lint([bare], run_model=False)
+        flagged = run_lint([bare])
         assert [f.rule for f in flagged.findings] == ["identity-in-sim"]
         assert flagged.findings[0].line == 4
 
@@ -350,7 +350,7 @@ class TestSuppressions:
             def cache_key(net):
                 return id(net)  # lint: disable=identity-in-sim
         """})
-        result = run_lint([root], run_model=False)
+        result = run_lint([root])
         assert [f.rule for f in result.findings] == \
             ["unjustified-suppression"]
         assert result.suppressed == 1
@@ -360,7 +360,7 @@ class TestSuppressions:
             def cache_key(net):
                 return id(net)  # lint: disable=identity-in-sim -- transient
         """})
-        result = run_lint([root], run_model=False)
+        result = run_lint([root])
         assert result.findings == []
         assert result.suppressed == 1
 
@@ -420,29 +420,49 @@ class TestEpochVerifier:
         assert [p.kind for p in problems] == ["disconnect"]
         assert problems[0].epoch == 2
 
-    def test_scenario_faults_replay_in_fire_time_order(self):
-        pytest.importorskip("repro.fuzz")
+    @staticmethod
+    def scenario_with_faults(topo, fault_schedule):
         from repro.fuzz.scenario import FuzzScenario, scheme_spec
         from repro.params import SimParams
 
-        topo = ring_topology(chord=True)
         params = SimParams(
             num_nodes=topo.num_nodes,
             num_switches=topo.num_switches,
             ports_per_switch=topo.ports_per_switch,
         )
-        from repro.analyze.epochs import verify_scenario_epochs
-
-        scenario = FuzzScenario(
+        return FuzzScenario(
             topo=topo,
             params=params,
             source=0,
             dests=(2, 3),
             schemes=(scheme_spec("tree"),),
             compare_backends=False,
-            fault_schedule=((50.0, 1), (10.0, 4)),
+            fault_schedule=fault_schedule,
         )
+
+    def test_scenario_faults_replay_in_fire_time_order(self):
+        from repro.fuzz.oracles import verify_scenario_epochs
+
+        scenario = self.scenario_with_faults(
+            ring_topology(chord=True), ((50.0, 1), (10.0, 4)))
         assert verify_scenario_epochs(scenario) == []
+
+    def test_scenario_fault_ties_replay_in_injector_order(self):
+        # Same-time faults arm in FaultSchedule order, (time, link id): the
+        # injector removes link 0 first, so link 2 is the one that would
+        # disconnect the diamond -- not link 0, as schedule order says.
+        from repro.chaos import FaultSchedule
+        from repro.fuzz.oracles import verify_scenario_epochs
+        from tests.topo_fixtures import make_diamond
+
+        pairs = ((5.0, 2), (5.0, 0))
+        assert [ev.link_id for ev in FaultSchedule.from_pairs(pairs).events] \
+            == [0, 2]
+        problems = verify_scenario_epochs(
+            self.scenario_with_faults(make_diamond(), pairs))
+        assert [(p.epoch, p.kind) for p in problems] == [(2, "disconnect")]
+        assert problems[0].message().startswith(
+            "epoch 2: disconnect: fault on link 2 ")
 
     def dfs_fixture_topology(self) -> NetworkTopology:
         """A topology whose BFS tree has an edge pointing *up* under DFS

@@ -69,6 +69,22 @@ class TestNewExperiments:
         res = EXPERIMENTS["extra-background"](TINY)
         assert all(s.y[0] is not None for s in res.series)
 
+    def test_background_experiment_does_not_hide_sim_errors(
+        self, monkeypatch
+    ):
+        # A simulator invariant error (a double delivery, an idle-lane
+        # release) is a RuntimeError too; it must fail the run rather than
+        # become an unmeasured point.
+        class Broken:
+            def execute(self, *args, **kwargs):
+                raise RuntimeError("planted")
+
+        monkeypatch.setattr(
+            "repro.traffic.background.make_scheme", lambda *a, **k: Broken()
+        )
+        with pytest.raises(RuntimeError, match="planted"):
+            EXPERIMENTS["extra-background"](TINY)
+
     def test_orientation_ablation_runs(self):
         res = EXPERIMENTS["ablation-orientation"](TINY)
         assert res.curve("bfs/tree").y and res.curve("dfs/tree").y

@@ -12,8 +12,8 @@ import pathlib
 
 import pytest
 
-from repro.analyze.epochs import verify_scenario_epochs
 from repro.fuzz import load_corpus, load_entry, run_oracles
+from repro.fuzz.oracles import verify_scenario_epochs
 from repro.fuzz.scenario import FuzzScenario
 from repro.routing.invariants import cdg_problems
 from repro.routing.updown import UpDownRouting

@@ -14,7 +14,7 @@ def lint_snippet(tmp_path: pathlib.Path, code: str, subdir: str = "sim"):
     d.mkdir(parents=True, exist_ok=True)
     f = d / "snippet.py"
     f.write_text(textwrap.dedent(code))
-    return run_lint([d], run_model=False)
+    return run_lint([d])
 
 
 def rules_hit(result) -> set[str]:
@@ -241,7 +241,7 @@ class TestImportCycle:
         d.mkdir()
         (d / "alpha.py").write_text("import beta\n")
         (d / "beta.py").write_text("import alpha\n")
-        res = run_lint([d], run_model=False)
+        res = run_lint([d])
         assert rules_hit(res) == {"import-cycle"}
         [f] = res.findings
         assert "alpha" in f.message and "beta" in f.message
@@ -253,7 +253,7 @@ class TestImportCycle:
             "def go():\n    import beta\n    return beta\n"
         )
         (d / "beta.py").write_text("import alpha\n")
-        res = run_lint([d], run_model=False)
+        res = run_lint([d])
         assert res.findings == []
 
     def test_submodule_import_resolves_past_package_init(self, tmp_path):
@@ -265,7 +265,7 @@ class TestImportCycle:
         (d / "__init__.py").write_text("from repro.pkg.registry import R\n")
         (d / "leaf.py").write_text("X = 1\n")
         (d / "registry.py").write_text("from repro.pkg import leaf\nR = leaf.X\n")
-        res = run_lint([tmp_path / "repro"], run_model=False)
+        res = run_lint([tmp_path / "repro"])
         assert res.findings == []
 
 
@@ -316,7 +316,7 @@ class TestSuppressionsAndReporting:
         d = tmp_path / "sim"
         d.mkdir()
         (d / "broken.py").write_text("def oops(:\n")
-        res = run_lint([d], run_model=False)
+        res = run_lint([d])
         assert rules_hit(res) == {"parse-error"}
         assert res.exit_code == 1
 

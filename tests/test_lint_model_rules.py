@@ -1,17 +1,16 @@
-"""Model-rule tests: the up*/down* invariants, verified and falsified."""
+"""The up*/down* model invariants, verified and falsified.
+
+Each test calls the shared checkers of :mod:`repro.routing.invariants`
+(and :func:`repro.multicast.pathworm.verify_plan`) on fixture and shipped
+topologies; these are the only static checks of the model premises.
+"""
+
+import random
+from types import SimpleNamespace
 
 import pytest
 
-from repro.lint.model_rules import (
-    ModelContext,
-    check_cdg_negative_control,
-    check_header_capacity,
-    check_multicast_cdg,
-    check_path_plan_legality,
-    check_reachability_superset,
-    context_from_topology,
-    default_contexts,
-)
+from repro.multicast.pathworm import plan_path_worms, verify_plan
 from repro.params import SimParams
 from repro.routing.bfs_tree import build_bfs_tree
 from repro.routing.deadlock import (
@@ -21,19 +20,27 @@ from repro.routing.deadlock import (
     escape_subgraph,
     find_cycle,
 )
+from repro.routing.invariants import (
+    cdg_problems,
+    header_problems,
+    reachability_problems,
+)
+from repro.routing.reachability import ReachabilityTable
 from repro.routing.updown import UpDownRouting
 from repro.topology.irregular import generate_irregular_topology
 from tests.topo_fixtures import make_diamond, make_line, make_star
 
 
-def ctx_for(topo, label="t", **params) -> ModelContext:
-    p = SimParams(
-        num_nodes=topo.num_nodes,
-        num_switches=topo.num_switches,
-        ports_per_switch=topo.ports_per_switch,
-        **params,
-    )
-    return context_from_topology(topo, p, label)
+def shipped(seed: int):
+    """The paper's 32-node system at ``seed``."""
+    return generate_irregular_topology(SimParams(), seed=seed)
+
+
+def routed(topo, orientation: str = "bfs"):
+    """Up*/down* routing and its reachability table, as the network builds
+    them."""
+    rt = UpDownRouting.build(topo, orientation=orientation)
+    return rt, ReachabilityTable.build(rt)
 
 
 def tampered_diamond_routing() -> tuple:
@@ -55,8 +62,8 @@ class TestExtendedCdg:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 7])
     def test_shipped_irregular_topologies_pass(self, seed):
-        topo = generate_irregular_topology(SimParams(), seed=seed)
-        assert check_multicast_cdg(ctx_for(topo, f"seed{seed}")) == []
+        topo = shipped(seed)
+        assert cdg_problems(topo, UpDownRouting.build(topo)) == []
 
     def test_replication_branch_edges_present(self):
         topo = make_star()
@@ -74,7 +81,8 @@ class TestExtendedCdg:
 
     def test_tampered_orientation_detected(self):
         topo, rt = tampered_diamond_routing()
-        assert find_cycle(build_multicast_cdg(topo, rt)) is not None
+        [problem] = cdg_problems(topo, rt)
+        assert "has a cycle" in problem
 
     def test_negative_control_unrestricted_routing(self):
         # The checker must flag minimal routing without the up/down rule on
@@ -82,11 +90,19 @@ class TestExtendedCdg:
         assert find_cycle(build_unrestricted_cdg(make_diamond())) is not None
 
     def test_negative_control_rule_passes_when_detection_works(self):
-        assert check_cdg_negative_control(ctx_for(make_diamond())) == []
+        # The shipped topologies have cycles, so unrestricted minimal
+        # routing must deadlock on each: the detector is really checking.
+        for seed in (1, 2, 3):
+            assert find_cycle(build_unrestricted_cdg(shipped(seed))), seed
 
     def test_negative_control_skips_tree_topologies(self):
-        # A line has no cycle to seed; the self-test does not apply.
-        assert check_cdg_negative_control(ctx_for(make_line())) == []
+        # A minimal route never turns back, so on a tree the unrestricted
+        # relation has no cycle to seed: a U-turn dependency would make
+        # every topology with a link look deadlocked.
+        for make in (make_line, make_star):
+            assert find_cycle(build_unrestricted_cdg(make())) is None
+        cycle = find_cycle(build_unrestricted_cdg(make_diamond()))
+        assert cycle is not None and len(set(cycle)) > 2
 
 
 def _strip_lanes(deps: dict) -> dict:
@@ -102,7 +118,7 @@ def _lemma_instances():
         yield make.__name__, topo, UpDownRouting.build(topo)
     for orientation in ("bfs", "dfs"):
         for seed in (1, 2, 3):
-            topo = generate_irregular_topology(SimParams(), seed=seed)
+            topo = shipped(seed)
             yield (f"seed{seed}-{orientation}", topo,
                    UpDownRouting.build(topo, orientation=orientation))
     yield ("tampered-diamond", *tampered_diamond_routing())
@@ -126,75 +142,77 @@ def test_escape_lane_zero_equals_multicast_cdg(label, topo, rt):
 class TestReachabilitySuperset:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_shipped_topologies_pass(self, seed):
-        topo = generate_irregular_topology(SimParams(), seed=seed)
-        assert check_reachability_superset(ctx_for(topo, f"seed{seed}")) == []
+        _, reach = routed(shipped(seed))
+        assert reachability_problems(reach, "bfs") == []
 
     def test_corrupted_reachability_flagged(self):
-        ctx = ctx_for(make_star())
-        hub = ctx.routing.tree.root
+        rt, reach = routed(make_star())
+        hub = rt.tree.root
         # Drop one node from the hub's reachability string.
-        victim = next(iter(ctx.reach.down_reach(hub)))
-        ctx.reach._switch_reach[hub] = ctx.reach.down_reach(hub) - {victim}
-        findings = check_reachability_superset(ctx)
-        assert findings
-        assert any(str(victim) in f.message for f in findings)
+        victim = next(iter(reach.down_reach(hub)))
+        reach._switch_reach[hub] = reach.down_reach(hub) - {victim}
+        problems = reachability_problems(reach, "bfs")
+        assert problems
+        assert any(str(victim) in p for p in problems)
 
     def test_dfs_oriented_topologies_pass(self):
-        # A BFS tree edge may legitimately point up under DFS labels; the
-        # rule must judge DFS routing against the preorder witness, as the
-        # epoch verifier does, instead of reporting it as a violation.
+        # A BFS tree edge may legitimately point up under DFS labels; DFS
+        # routing must be judged against the preorder witness, as the
+        # epoch verifier does, instead of being reported as a violation.
         for seed in range(40):
-            topo = generate_irregular_topology(SimParams(), seed=seed)
-            ctx = ctx_for(topo, f"seed{seed}", routing_tree="dfs")
-            assert check_reachability_superset(ctx) == [], seed
+            _, reach = routed(shipped(seed), "dfs")
+            assert reachability_problems(reach, "dfs") == [], seed
 
     def test_dfs_corrupted_reachability_flagged(self):
-        topo = generate_irregular_topology(SimParams(), seed=1)
-        ctx = ctx_for(topo, routing_tree="dfs")
-        root = ctx.routing.tree.root
-        victim = next(iter(ctx.reach.down_reach(root)))
-        ctx.reach._switch_reach[root] = ctx.reach.down_reach(root) - {victim}
-        findings = check_reachability_superset(ctx)
-        assert any("DFS root" in f.message for f in findings)
+        rt, reach = routed(shipped(1), "dfs")
+        root = rt.tree.root
+        victim = next(iter(reach.down_reach(root)))
+        reach._switch_reach[root] = reach.down_reach(root) - {victim}
+        problems = reachability_problems(reach, "dfs")
+        assert any("DFS root" in p for p in problems)
 
     def test_dfs_switch_missing_own_node_flagged(self):
         # Switch 1 of seed 1 hosts node 6 but is not the DFS root, so
         # neither the label check nor the root-coverage check sees the
         # hole: only the own-attached-nodes check does.
-        topo = generate_irregular_topology(SimParams(), seed=1)
-        ctx = ctx_for(topo, routing_tree="dfs")
-        assert 6 in topo.nodes_on_switch(1) and ctx.routing.tree.root != 1
-        ctx.reach._switch_reach[1] = ctx.reach.down_reach(1) - {6}
-        findings = check_reachability_superset(ctx)
-        assert any("switch 1" in f.message and "6" in f.message
-                   for f in findings)
+        topo = shipped(1)
+        rt, reach = routed(topo, "dfs")
+        assert 6 in topo.nodes_on_switch(1) and rt.tree.root != 1
+        reach._switch_reach[1] = reach.down_reach(1) - {6}
+        problems = reachability_problems(reach, "dfs")
+        assert any("switch 1" in p and "6" in p for p in problems)
 
 
 class TestPathPlanLegality:
-    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_shipped_topologies_pass(self, seed):
-        topo = generate_irregular_topology(SimParams(), seed=seed)
-        assert check_path_plan_legality(ctx_for(topo, f"seed{seed}")) == []
+        # Every MDP-LG and greedy plan, from two sources to 4, 8 and N/2
+        # destinations, decomposes into legal up*/down* worms covering each
+        # destination exactly once (Sections 3.2.4, 4.2.3).
+        topo = shipped(seed)
+        rt = UpDownRouting.build(topo)
+        view = SimpleNamespace(topo=topo, routing=rt)
+        rng = random.Random(0xC0FFEE)
+        n = topo.num_nodes
+        for source in (0, n // 2):
+            for k in (4, 8, n // 2):
+                dests = rng.sample([d for d in range(n) if d != source], k)
+                for strategy in ("lg", "greedy"):
+                    plan = plan_path_worms(
+                        view, source, dests, strategy=strategy)
+                    assert verify_plan(
+                        topo, rt, source, dests, plan) == [], (
+                        source, k, strategy)
 
     def test_verify_plan_rejects_corrupted_plan(self):
-        from repro.multicast.pathworm import (
-            MulticastPathPlan,
-            PathWormPlan,
-            plan_path_worms,
-            verify_plan,
-        )
+        from repro.multicast.pathworm import MulticastPathPlan, PathWormPlan
 
-        topo = generate_irregular_topology(SimParams(), seed=1)
-        ctx = ctx_for(topo)
-
-        class View:
-            pass
-
-        view = View()
-        view.topo, view.routing = ctx.topo, ctx.routing
+        topo = shipped(1)
+        rt = UpDownRouting.build(topo)
+        view = SimpleNamespace(topo=topo, routing=rt)
         dests = [3, 9, 17, 25]
         plan = plan_path_worms(view, 0, dests)
-        assert verify_plan(ctx.topo, ctx.routing, 0, dests, plan) == []
+        assert verify_plan(topo, rt, 0, dests, plan) == []
 
         # Corrupt: claim a drop for a node on the wrong switch.
         worm = plan.phases[0][0]
@@ -210,14 +228,13 @@ class TestPathPlanLegality:
         )
         bad = MulticastPathPlan(phases=((bad_worm,) + plan.phases[0][1:],)
                                 + plan.phases[1:])
-        problems = verify_plan(ctx.topo, ctx.routing, 0, dests, bad)
+        problems = verify_plan(topo, rt, 0, dests, bad)
         assert any("attached to switch" in p for p in problems)
 
     def test_updown_decomposition(self):
         from repro.routing.paths import shortest_path_links, updown_decomposition
 
-        topo = generate_irregular_topology(SimParams(), seed=1)
-        rt = UpDownRouting.build(topo)
+        rt = UpDownRouting.build(shipped(1))
         links = shortest_path_links(rt, 3, 6)
         up, down = updown_decomposition(rt, 3, links)
         assert up + down == len(links)
@@ -240,18 +257,10 @@ class TestPathPlanLegality:
 
 class TestHeaderCapacity:
     def test_default_params_fit(self):
-        topo = generate_irregular_topology(SimParams(), seed=1)
-        assert check_header_capacity(ctx_for(topo)) == []
+        p = SimParams()
+        assert header_problems(p.num_nodes, p.packet_flits) == []
 
     def test_tiny_packets_flagged(self):
-        topo = generate_irregular_topology(SimParams(), seed=1)
         # 32 destination bits + 5 id bits = 5 header flits >= 4-flit packets.
-        findings = check_header_capacity(ctx_for(topo, packet_flits=4))
-        assert len(findings) == 1
-        assert "header" in findings[0].message
-
-
-def test_default_contexts_labelled():
-    ctxs = default_contexts((1, 2))
-    assert [c.label for c in ctxs] == ["seed1", "seed2"]
-    assert all(c.path.startswith("<model:") for c in ctxs)
+        [problem] = header_problems(SimParams().num_nodes, 4)
+        assert "header" in problem
