@@ -90,11 +90,15 @@ class FaultInjector:
         net.chaos.faults_fired += 1
         self._trace("fault", f"link {ev.link_id} failed")
 
+        # Look the link's two channels up directly: the lookup builds a
+        # channel no worm has touched yet, so it is revoked before any later
+        # lookup can find it live.
+        failed = next(lk for lk in net.topo.links if lk.link_id == ev.link_id)
         revoked_uids = set()
-        for (link_id, _frm), ch in net.fabric.forward.items():
-            if link_id == ev.link_id:
-                ch.revoke()
-                revoked_uids.add(ch.uid)
+        for frm in (failed.a.switch, failed.b.switch):
+            ch = net.fabric.forward_channel(failed, frm)
+            ch.revoke()
+            revoked_uids.add(ch.uid)
 
         # Abort victims in launch order (the registry is insertion-ordered).
         for worm in net.live_worms():

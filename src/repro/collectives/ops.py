@@ -380,20 +380,46 @@ def reduce_to_root(
         for c in children:
             parent[c] = p
     result = CollectiveResult("reduce", root, members, net.engine.now)
-    n_packets = net.params.message_packets
     waiting = {n: len(tree[n]) for n in nodes}
+    reduction = _Reduction(net, root, parent, waiting, result, on_complete)
+    for n in nodes:
+        if reduction.waiting[n] == 0:
+            reduction.contribution_ready(n)
+    return result
 
-    def contribution_ready(node: int) -> None:
+
+class _Reduction:
+    """The combining state of one :func:`reduce_to_root`.
+
+    Its two steps call each other through the instance, not through closures
+    over each other, so a finished reduction leaves no reference cycle
+    holding the network.
+    """
+
+    def __init__(self, net: SimNetwork, root: int, parent: dict[int, int],
+                 waiting: dict[int, int], result: CollectiveResult,
+                 on_complete: "Callable[[CollectiveResult], None] | None") -> None:
+        self.net = net
+        self.root = root
+        self.parent = parent
+        self.waiting = waiting
+        """Children still to combine, per node."""
+        self.result = result
+        self.on_complete = on_complete
+
+    def contribution_ready(self, node: int) -> None:
         """All of ``node``'s children combined; send up (or finish)."""
-        if node == root:
-            result.node_times[root] = net.engine.now
+        net, result = self.net, self.result
+        if node == self.root:
+            result.node_times[node] = net.engine.now
             result.complete_time = net.engine.now
-            if on_complete is not None:
-                on_complete(result)
+            if self.on_complete is not None:
+                self.on_complete(result)
             return
-        dst = parent[node]
+        dst = self.parent[node]
+        n_packets = net.params.message_packets
         receiver = HostReceiver(
-            net.hosts[dst], n_packets, lambda t: child_arrived(dst, t)
+            net.hosts[dst], n_packets, lambda t: self.child_arrived(dst, t)
         )
         steer = net.unicast_steer(dst)
 
@@ -407,13 +433,8 @@ def reduce_to_root(
 
         host_send(net.hosts[node], [launch for _ in range(n_packets)])
 
-    def child_arrived(node: int, t: float) -> None:
-        result.node_times[node] = t
-        waiting[node] -= 1
-        if waiting[node] == 0:
-            contribution_ready(node)
-
-    for n in nodes:
-        if waiting[n] == 0:
-            contribution_ready(n)
-    return result
+    def child_arrived(self, node: int, t: float) -> None:
+        self.result.node_times[node] = t
+        self.waiting[node] -= 1
+        if self.waiting[node] == 0:
+            self.contribution_ready(node)

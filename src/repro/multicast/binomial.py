@@ -32,16 +32,18 @@ def build_binomial_tree(members: list[int]) -> dict[int, list[int]]:
     if len(set(members)) != len(members):
         raise ValueError("duplicate members")
     tree: dict[int, list[int]] = {m: [] for m in members}
-
-    def rec(mem: list[int]) -> None:
+    # Each node fills only its own child list, so the order the groups are
+    # split in does not matter; a worklist avoids a self-recursive closure
+    # (a reference cycle per call).
+    groups = [list(members)]
+    while groups:
+        mem = groups.pop()
         root, rest = mem[0], mem[1:]
         while rest:
             take = (len(rest) + 1) // 2
             group, rest = rest[:take], rest[take:]
             tree[root].append(group[0])
-            rec(group)
-
-    rec(list(members))
+            groups.append(group)
     return tree
 
 

@@ -171,8 +171,13 @@ def choose_k(
             lat = latencies[a, b] = base_packet_hop_latency(net, a, b)
         return lat
 
+    # Past k = ceil(log2 n) for n members the tree no longer changes (no
+    # node has more than that many children to hand out), so larger k would
+    # only repeat the last estimate; the first strict minimum wins anyway.
+    # ceil(log2 n) == (n - 1).bit_length(), and n - 1 is the dest count.
+    k_max = min(MAX_K, len(ordered_dests).bit_length())
     best: tuple[float, int, dict[int, list[int]]] | None = None
-    for k in range(1, min(MAX_K, len(ordered_dests)) + 1):
+    for k in range(1, k_max + 1):
         tree = build_k_binomial_tree(members, k)
         est = estimate_fpfs_completion(tree, source, net.params, hop_latency)
         if best is None or est < best[0]:

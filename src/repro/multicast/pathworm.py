@@ -49,8 +49,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.multicast.base import MulticastResult, MulticastScheme
-from repro.routing.paths import is_legal_path, path_switches
-from repro.routing.updown import Phase, UpDownRouting
+from repro.routing.paths import is_legal_path, minimal_paths, path_switches
+from repro.routing.updown import UpDownRouting
 from repro.sim.messaging import HostReceiver, host_send
 from repro.sim.network import SimNetwork
 from repro.sim.worm import Deliver, Forward
@@ -107,43 +107,6 @@ networks have few parallel minimal routes; the cap guards degenerate
 topologies)."""
 
 
-def _minimal_paths(
-    rt: UpDownRouting, src_switch: int, dst_switch: int
-) -> list[list[SwitchLink]]:
-    """Up to MAX_PATHS_PER_DEST minimal legal link paths between switches."""
-    results: list[list[SwitchLink]] = []
-    _walk(rt, dst_switch, src_switch, Phase.UP, [], results)
-    return results
-
-
-def _walk(
-    rt: UpDownRouting,
-    dst_switch: int,
-    here: int,
-    phase: Phase,
-    acc: list[SwitchLink],
-    results: list[list[SwitchLink]],
-) -> bool:
-    """Depth-first step of :func:`_minimal_paths`; False once it has enough.
-
-    A module-level function rather than a recursive closure, which would be
-    a reference cycle holding the routing tables until the cycle collector
-    runs.
-    """
-    if here == dst_switch:
-        results.append(list(acc))
-        return len(results) < MAX_PATHS_PER_DEST
-    for hop in rt.next_hops(here, phase, dst_switch):
-        acc.append(hop.link)
-        keep_going = _walk(
-            rt, dst_switch, hop.to_switch, hop.next_phase, acc, results
-        )
-        acc.pop()
-        if not keep_going:
-            return False
-    return True
-
-
 def best_single_worm(
     net: SimNetwork,
     sender: int,
@@ -173,7 +136,9 @@ def best_single_worm(
     best_key: tuple | None = None
     best_path: list[SwitchLink] | None = None
     for anchor_switch in sorted(dest_by_switch):
-        for links in _minimal_paths(rt, start, anchor_switch):
+        for links in minimal_paths(
+            rt, start, anchor_switch, MAX_PATHS_PER_DEST
+        ):
             switches = path_switches(start, links)
             coverage = sum(
                 len(dest_by_switch.get(s, ()))
@@ -383,46 +348,66 @@ class PathWormScheme(MulticastScheme):
             ("mdp", source, result.dests),
             lambda: self.plan(net, source, list(result.dests)),
         )
-        m = net.params.message_packets
-
         # Worm send-lists per sender, in phase order.
         sends: dict[int, list[PathWormPlan]] = {}
         for phase in plan.phases:
             for worm_plan in phase:
                 sends.setdefault(worm_plan.sender, []).append(worm_plan)
 
-        receivers: dict[int, HostReceiver] = {}
-
-        def on_host_delivery(node: int, time: float) -> None:
-            result._record(node, time, on_complete)
-            start_sends(node)
-
-        for d in result.dests:
-            receivers[d] = HostReceiver(
-                net.hosts[d], m,
-                on_delivered=lambda t, n=d: on_host_delivery(n, t),
-            )
-
-        def start_sends(node: int) -> None:
-            for worm_plan in sends.get(node, ()):  # in phase order
-                steer = self.make_steer(net, worm_plan)
-
-                def make_launcher(wp=worm_plan, st=steer) -> Callable[[], None]:
-                    def launch() -> None:
-                        net.hosts[wp.sender].launch_worm(
-                            st,
-                            initial_state=0,
-                            on_delivered=lambda n, _t: receivers[
-                                n
-                            ].packet_arrived(),
-                            label=f"path:{wp.sender}",
-                        )
-
-                    return launch
-
-                host_send(
-                    net.hosts[node], [make_launcher() for _ in range(m)]
-                )
-
-        start_sends(source)
+        _PathSends(self, net, sends, result, on_complete).start(source)
         return result
+
+
+class _PathSends:
+    """One path multicast in flight: each node the message reaches starts
+    the worms its plan gives it.
+
+    Delivery and sending reach each other through the instance, and a worm's
+    receivers live only as long as its copies do, so neither a finished
+    multicast nor one whose worms a fault aborted leaves a reference cycle
+    holding the network.
+    """
+
+    def __init__(self, scheme: PathWormScheme, net: SimNetwork,
+                 sends: dict[int, list[PathWormPlan]], result: MulticastResult,
+                 on_complete: Callable[[MulticastResult], None] | None) -> None:
+        self.scheme = scheme
+        self.net = net
+        self.sends = sends
+        self.result = result
+        self.on_complete = on_complete
+
+    def delivered(self, node: int, time: float) -> None:
+        self.result._record(node, time, self.on_complete)
+        self.start(node)
+
+    def start(self, node: int) -> None:
+        """Launch ``node``'s worms, in phase order."""
+        net = self.net
+        m = net.params.message_packets
+        for worm_plan in self.sends.get(node, ()):
+            steer = self.scheme.make_steer(net, worm_plan)
+            receivers = {
+                d: HostReceiver(
+                    net.hosts[d], m,
+                    on_delivered=lambda t, n=d: self.delivered(n, t),
+                )
+                for nodes in worm_plan.drops
+                for d in nodes
+            }
+
+            def make_launcher(wp=worm_plan, st=steer,
+                              receivers=receivers) -> Callable[[], None]:
+                def launch() -> None:
+                    net.hosts[wp.sender].launch_worm(
+                        st,
+                        initial_state=0,
+                        on_delivered=lambda n, _t: receivers[
+                            n
+                        ].packet_arrived(),
+                        label=f"path:{wp.sender}",
+                    )
+
+                return launch
+
+            host_send(net.hosts[node], [make_launcher() for _ in range(m)])

@@ -32,29 +32,56 @@ def shortest_path_links(
     return path
 
 
+def minimal_paths(
+    rt: UpDownRouting, src_switch: int, dst_switch: int, cap: int
+) -> list[list[SwitchLink]]:
+    """The first ``cap`` minimal legal paths, in depth-first ``next_hops``
+    order; the walk stops as soon as it has ``cap`` of them."""
+    results: list[list[SwitchLink]] = []
+    _walk(rt, dst_switch, src_switch, Phase.UP, [], results, cap)
+    return results
+
+
+def _walk(
+    rt: UpDownRouting,
+    dst_switch: int,
+    here: int,
+    phase: Phase,
+    acc: list[SwitchLink],
+    results: list[list[SwitchLink]],
+    cap: int,
+) -> bool:
+    """Depth-first step of :func:`minimal_paths`; False once it has ``cap``.
+
+    A module-level function rather than a recursive closure, which would be
+    a reference cycle holding the routing tables until the cycle collector
+    runs.
+    """
+    if here == dst_switch:
+        results.append(list(acc))
+        return len(results) < cap
+    for hop in rt.next_hops(here, phase, dst_switch):
+        acc.append(hop.link)
+        keep_going = _walk(
+            rt, dst_switch, hop.to_switch, hop.next_phase, acc, results, cap
+        )
+        acc.pop()
+        if not keep_going:
+            return False
+    return True
+
+
 def all_minimal_paths(
     rt: UpDownRouting, src_switch: int, dst_switch: int, limit: int = 1000
 ) -> list[list[SwitchLink]]:
     """Enumerate every minimal legal path (bounded by ``limit``).
 
-    Mainly for tests and for the path-worm coverage search on the paper's
-    small networks; raises ``ValueError`` when truncation would occur so a
-    caller never silently works with a partial enumeration.
+    Raises ``ValueError`` when there are more than ``limit``, so a caller
+    never silently works with a partial enumeration.
     """
-    results: list[list[SwitchLink]] = []
-
-    def walk(here: int, phase: Phase, acc: list[SwitchLink]) -> None:
-        if here == dst_switch:
-            results.append(list(acc))
-            if len(results) > limit:
-                raise ValueError("minimal path enumeration exceeded limit")
-            return
-        for hop in rt.next_hops(here, phase, dst_switch):
-            acc.append(hop.link)
-            walk(hop.to_switch, hop.next_phase, acc)
-            acc.pop()
-
-    walk(src_switch, Phase.UP, [])
+    results = minimal_paths(rt, src_switch, dst_switch, limit + 1)
+    if len(results) > limit:
+        raise ValueError("minimal path enumeration exceeded limit")
     return results
 
 

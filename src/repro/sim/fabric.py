@@ -15,12 +15,15 @@ Channel kinds and their crossing delays:
 * ``deliver`` (switch input buffer -> crossbar -> host link -> NI): switch
   delay + link propagation; the NI sinks at link rate, so its buffer is
   effectively unbounded.
+
+A channel is built on its first lookup, with the uid (and so the name and
+lane seed) it has in the fabric's canonical order; see :class:`Fabric`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import Callable, Hashable
 
 from repro.params import SimParams
 from repro.sim.engine import Engine
@@ -103,62 +106,56 @@ class Channel(MultiLaneResource):
         return f"<Channel {self.name or self.uid} kind={self.kind}>"
 
 
-class Fabric:
-    """All channels of a topology, wired for a given parameter set."""
+class LazyMap(dict):
+    """A dict whose missing keys are built on their first lookup.
+
+    ``build(key)`` makes the value; an unknown key raises :class:`KeyError`
+    as a plain dict would.  The map holds its builder, never its owner, so
+    an owner and its maps form no reference cycle.  Iteration and ``len``
+    see only what lookups have built so far.
+    """
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build: Callable[[Hashable], object]) -> None:
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key: Hashable):
+        value = self[key] = self._build(key)
+        return value
+
+
+class _ChannelBuilder:
+    """Builds any channel of a fabric from its key alone.
+
+    The uid is the channel's index in the fabric's canonical order -- every
+    inject channel by node, then every deliver channel by node, then both
+    directions of every link in ``topo.links`` order, ``a`` end first::
+
+        inject n   -> n
+        deliver n  -> N + n
+        forward    -> 2N + 2*(link position) + (0 out of lk.a, 1 out of lk.b)
+
+    so uids, names and lane seeds do not depend on the order of lookups.
+    """
 
     def __init__(self, engine: Engine, topo: NetworkTopology, params: SimParams) -> None:
         self.engine = engine
         self.topo = topo
         self.params = params
-        self._uid = 0
-        forward_delay = params.switch_delay + params.link_delay
+        self.forward_delay = params.switch_delay + params.link_delay
+        self._link_pos: dict[int, int] | None = None
 
-        self.inject: dict[int, Channel] = {}
-        for node in range(topo.num_nodes):
-            sw = topo.switch_of_node(node)
-            self.inject[node] = self._make(
-                "inject",
-                params.link_delay,
-                params.input_buffer_flits,
-                to_switch=sw,
-                name=f"inj:n{node}->s{sw}",
-            )
-
-        self.deliver: dict[int, Channel] = {}
-        for node in range(topo.num_nodes):
-            sw = topo.switch_of_node(node)
-            self.deliver[node] = self._make(
-                "deliver",
-                forward_delay,
-                UNBOUNDED_BUFFER,
-                from_switch=sw,
-                to_node=node,
-                name=f"del:s{sw}->n{node}",
-            )
-
-        # Two directional channels per switch-switch link, keyed by
-        # (link_id, from_switch).
-        self.forward: dict[tuple[int, int], Channel] = {}
-        for lk in topo.links:
-            for frm in (lk.a.switch, lk.b.switch):
-                to = lk.other_end(frm).switch
-                self.forward[(lk.link_id, frm)] = self._make(
-                    "forward",
-                    forward_delay,
-                    params.input_buffer_flits,
-                    from_switch=frm,
-                    to_switch=to,
-                    link=lk,
-                    name=f"fwd:l{lk.link_id}:s{frm}->s{to}",
-                )
-
-    def _make(self, kind: str, delay: int, downstream_buffer: int, **kw) -> Channel:
+    def _make(
+        self, uid: int, kind: str, delay: int, downstream_buffer: int, **kw
+    ) -> Channel:
         lanes = self.params.vc_count
         # With one lane the pointer is ``seed % 1 == 0`` whatever the seed.
-        seed = _lane_seed(self.params.route_seed, self._uid) if lanes > 1 else 0
-        ch = Channel(
+        seed = _lane_seed(self.params.route_seed, uid) if lanes > 1 else 0
+        return Channel(
             self.engine,
-            self._uid,
+            uid,
             kind,
             delay,
             downstream_buffer,
@@ -166,8 +163,82 @@ class Fabric:
             lane_seed=seed,
             **kw,
         )
-        self._uid += 1
-        return ch
+
+    def _switch_of(self, node: int) -> int:
+        if not 0 <= node < self.topo.num_nodes:
+            raise KeyError(node)
+        return self.topo.switch_of_node(node)
+
+    def inject(self, node: int) -> Channel:
+        sw = self._switch_of(node)
+        return self._make(
+            node,
+            "inject",
+            self.params.link_delay,
+            self.params.input_buffer_flits,
+            to_switch=sw,
+            name=f"inj:n{node}->s{sw}",
+        )
+
+    def deliver(self, node: int) -> Channel:
+        sw = self._switch_of(node)
+        return self._make(
+            self.topo.num_nodes + node,
+            "deliver",
+            self.forward_delay,
+            UNBOUNDED_BUFFER,
+            from_switch=sw,
+            to_node=node,
+            name=f"del:s{sw}->n{node}",
+        )
+
+    def forward(self, key: tuple[int, int]) -> Channel:
+        link_id, frm = key
+        if self._link_pos is None:
+            self._link_pos = {
+                lk.link_id: pos for pos, lk in enumerate(self.topo.links)
+            }
+        pos = self._link_pos.get(link_id)
+        if pos is None:
+            raise KeyError(key)
+        lk = self.topo.links[pos]
+        if frm == lk.a.switch:
+            end, to = 0, lk.b.switch
+        elif frm == lk.b.switch:
+            end, to = 1, lk.a.switch
+        else:
+            raise KeyError(key)
+        return self._make(
+            2 * (self.topo.num_nodes + pos) + end,
+            "forward",
+            self.forward_delay,
+            self.params.input_buffer_flits,
+            from_switch=frm,
+            to_switch=to,
+            link=lk,
+            name=f"fwd:l{link_id}:s{frm}->s{to}",
+        )
+
+
+class Fabric:
+    """All channels of a topology, wired for a given parameter set.
+
+    Channels are built on first lookup: a run pays only for the channels its
+    traffic touches, and a channel no lookup has reached is idle and has
+    carried nothing.  ``inject``/``deliver`` are keyed by node and
+    ``forward`` by ``(link_id, from_switch)``; their iteration order is
+    lookup order, so enumerate with :meth:`all_channels` (canonical uid
+    order) or :meth:`built_channels`.
+    """
+
+    def __init__(self, engine: Engine, topo: NetworkTopology, params: SimParams) -> None:
+        self.engine = engine
+        self.topo = topo
+        self.params = params
+        build = _ChannelBuilder(engine, topo, params)
+        self.inject: dict[int, Channel] = LazyMap(build.inject)
+        self.deliver: dict[int, Channel] = LazyMap(build.deliver)
+        self.forward: dict[tuple[int, int], Channel] = LazyMap(build.forward)
 
     # ------------------------------------------------------------------
     # Lookups
@@ -176,14 +247,28 @@ class Fabric:
         """The directional channel crossing ``link`` out of ``from_switch``."""
         return self.forward[(link.link_id, from_switch)]
 
+    def built_channels(self) -> list[Channel]:
+        """The channels looked up so far, grouped by kind in lookup order."""
+        return [
+            *self.inject.values(),
+            *self.deliver.values(),
+            *self.forward.values(),
+        ]
+
     def all_channels(self) -> list[Channel]:
-        """Every channel in the fabric (for load/occupancy statistics)."""
+        """Every channel in the fabric, in uid order (for load/occupancy
+        statistics); builds the ones no lookup has reached yet."""
+        nodes = range(self.topo.num_nodes)
         return (
-            list(self.inject.values())
-            + list(self.deliver.values())
-            + list(self.forward.values())
+            [self.inject[n] for n in nodes]
+            + [self.deliver[n] for n in nodes]
+            + [
+                self.forward[(lk.link_id, sw)]
+                for lk in self.topo.links
+                for sw in (lk.a.switch, lk.b.switch)
+            ]
         )
 
     def total_flits_carried(self) -> int:
         """Sum of flits moved across all channels (traffic volume metric)."""
-        return sum(c.flits_carried for c in self.all_channels())
+        return sum(c.flits_carried for c in self.built_channels())

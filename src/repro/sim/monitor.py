@@ -68,7 +68,7 @@ class NetworkMonitor:
         snap: dict[str, float] = {}
         for ch in self.net.fabric.all_channels():
             snap[f"ch:{ch.uid}"] = ch.busy_time
-        for h in self.net.hosts:
+        for h in self.net.all_hosts():
             snap[f"cpu:{h.node}"] = h.cpu.busy_time
             snap[f"ni:{h.node}"] = h.ni.busy_time
             snap[f"bus:{h.node}"] = h.bus.flits_moved
@@ -85,17 +85,21 @@ class NetworkMonitor:
             return (now[key] - self._busy0[key]) / window
 
         fab = self.net.fabric
+        channels = fab.all_channels()
         link_utils = {
-            ch.name: util(f"ch:{ch.uid}") for ch in fab.forward.values()
+            ch.name: util(f"ch:{ch.uid}")
+            for ch in channels
+            if ch.kind == "forward"
         }
-        inj_utils = [util(f"ch:{ch.uid}") for ch in fab.inject.values()]
-        del_utils = [util(f"ch:{ch.uid}") for ch in fab.deliver.values()]
-        cpu_utils = [util(f"cpu:{h.node}") for h in self.net.hosts]
-        ni_utils = [util(f"ni:{h.node}") for h in self.net.hosts]
+        inj_utils = [util(f"ch:{ch.uid}") for ch in channels if ch.kind == "inject"]
+        del_utils = [util(f"ch:{ch.uid}") for ch in channels if ch.kind == "deliver"]
+        hosts = self.net.all_hosts()
+        cpu_utils = [util(f"cpu:{h.node}") for h in hosts]
+        ni_utils = [util(f"ni:{h.node}") for h in hosts]
         bus_utils = [
             (now[f"bus:{h.node}"] - self._busy0[f"bus:{h.node}"])
             / (h.bus.rate * window)
-            for h in self.net.hosts
+            for h in hosts
         ]
         max_link = max(link_utils, key=lambda k: link_utils[k], default="")
 

@@ -7,6 +7,7 @@ unicast steering function every scheme's point-to-point traffic uses.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,7 +16,7 @@ from repro.routing.escape import EscapeRouting
 from repro.routing.reachability import ReachabilityTable
 from repro.routing.updown import Phase, UpDownRouting
 from repro.sim.engine import Engine
-from repro.sim.fabric import Fabric
+from repro.sim.fabric import Fabric, LazyMap
 from repro.sim.host import Host
 from repro.sim.worm import Deliver, Forward, SteerFn, Worm
 from repro.topology.graph import NetworkTopology
@@ -40,6 +41,19 @@ class ChaosStats:
     gave_up: int = 0
     reconfigurations: int = 0
     reconfig_latency_total: float = 0.0
+
+
+def _host_builder(net: "SimNetwork") -> Callable[[int], Host]:
+    """Builds a node's host; holds the network weakly, as hosts do."""
+    net_ref = weakref.ref(net)
+    num_nodes = net.topo.num_nodes
+
+    def build(node: int) -> Host:
+        if not 0 <= node < num_nodes:
+            raise KeyError(node)
+        return Host(net_ref(), node)
+
+    return build
 
 
 class SimNetwork:
@@ -69,7 +83,9 @@ class SimNetwork:
         """Minimal-path shortcut tables for lanes >= 1 (escape mode only)."""
         self.fabric = Fabric(self.engine, topo, params)
         self.rng = random.Random(params.route_seed)
-        self.hosts = [Host(self, n) for n in range(topo.num_nodes)]
+        self.hosts: dict[int, Host] = LazyMap(_host_builder(self))
+        """Each node's :class:`Host`, keyed by node and built on its first
+        lookup; :meth:`all_hosts` lists every one in node order."""
         self.trace = None
         """Assign a :class:`~repro.sim.tracelog.TraceLog` to trace every
         worm launched through the hosts."""
@@ -157,6 +173,11 @@ class SimNetwork:
         self._live_worms[uid] = worm
         worm.on_retire = lambda _w, uid=uid: self._live_worms.pop(uid, None)
 
+    def all_hosts(self) -> list[Host]:
+        """Every node's host in node order; builds the ones no lookup has
+        reached yet (they are idle)."""
+        return [self.hosts[n] for n in range(self.topo.num_nodes)]
+
     def live_worms(self) -> list[Worm]:
         """In-flight worms, in launch order."""
         return list(self._live_worms.values())
@@ -203,8 +224,12 @@ class SimNetwork:
         channel -- it will mutate state the moment the engine runs again --
         so the check requires ``engine.pending == 0`` too.
         """
-        stuck = [c.name for c in self.fabric.all_channels() if c.busy]
-        for h in self.hosts:
+        # A channel or host no lookup has built is idle, so only built ones
+        # can be busy; they are reported in uid and node order.
+        busy = [c for c in self.fabric.built_channels() if c.busy]
+        stuck = [c.name for c in sorted(busy, key=lambda c: c.uid)]
+        busy_hosts = [h for h in self.hosts.values() if h.cpu.busy or h.ni.busy]
+        for h in sorted(busy_hosts, key=lambda h: h.node):
             if h.cpu.busy:
                 stuck.append(h.cpu.name)
             if h.ni.busy:

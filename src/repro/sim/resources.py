@@ -1,10 +1,13 @@
 """Contention resources: unit-capacity FIFO grants and rate-limited pipes.
 
-Two resource shapes cover everything in the modelled system:
+Three resource shapes cover everything in the modelled system:
 
+* :class:`MultiLaneResource` -- ``lanes`` independent grant slots with
+  deterministic lane allocation.  Every physical channel in the fabric is
+  one (:class:`~repro.sim.fabric.Channel` subclasses it); with one lane it
+  behaves exactly like a :class:`FifoResource`.
 * :class:`FifoResource` -- one owner at a time, FIFO grant order.  Models
-  host CPUs, NI processors, and (via :class:`~repro.sim.fabric.Channel`,
-  which subclasses it) every physical channel in the fabric.
+  host CPUs and NI processors.
 * :class:`ThroughputResource` -- a serial pipe moving ``rate`` flits/cycle;
   models the host I/O bus shared by inbound and outbound DMA.
 """

@@ -511,6 +511,9 @@ class Worm:
         self.abort_reason = reason
         self._trace("abort", reason)
         for hop in self._hops:
+            # A hop parked on its parent (or on itself) closes a cycle that
+            # no later state change clears once the worm is dead.
+            hop.waiters.clear()
             if hop.h is not None and not hop.released:
                 hop.released = True
                 hop.channel.release(hop.lane)

@@ -123,6 +123,22 @@ class TestInjector:
         assert len(revoked) == 2
         assert all(ch.link.link_id == 4 for ch in revoked)
 
+    def test_fault_revokes_channels_no_worm_touched(self):
+        """Channels are built on first lookup; a fault on a link no lookup
+        has reached still revokes both directions, and lookups after the
+        fault find them revoked."""
+        net = chaos_net()
+        lk = next(lk for lk in net.topo.links if lk.link_id == 4)
+        arm(net, [(5.0, 4)])
+        net.run(until=4.0)
+        assert net.fabric.built_channels() == []
+        net.run()
+        assert net.fabric.forward[(4, lk.b.switch)].revoked
+        assert net.fabric.forward_channel(lk, lk.a.switch).revoked
+        assert not any(
+            ch.revoked for ch in net.fabric.all_channels() if ch.link is not lk
+        )
+
     def test_reconfig_latency_delays_notification(self):
         net = chaos_net()
         seen = []

@@ -1,7 +1,11 @@
 """Tests for utilization monitoring and the collective operations."""
 
+import hashlib
+import random
+
 import pytest
 
+from repro.chaos import FaultInjector, FaultSchedule, ReliableMulticast
 from repro.collectives import (
     barrier,
     broadcast,
@@ -47,6 +51,59 @@ class TestMonitor:
         assert rep.max_link_utilization > 0
         assert rep.mean_cpu_utilization == 0.0  # raw worm, no host stack
 
+    @pytest.mark.parametrize(
+        "scheme,vc,faults,late,digest",
+        [
+            ("binomial", 1, False, False, "f767e60feb83e661"),
+            ("ni", 4, True, False, "7972e3773cf88d80"),
+            ("tree", 4, True, False, "652f41cfcd4929e7"),
+            ("path", 4, True, False, "ea13c485dd01c39b"),
+            ("tree", 2, True, True, "d51a233b26b02383"),
+            ("path", 2, True, True, "7c12eee21c3b5fef"),
+        ],
+    )
+    def test_report_pinned(self, scheme, vc, faults, late, digest):
+        """The report's text is pinned (digests taken when every channel was
+        built up front): untouched channels count as idle, in uid order,
+        whether the window opens before any traffic or mid-run."""
+        p = SimParams(vc_count=vc)
+        net = SimNetwork(generate_irregular_topology(p, seed=3), p)
+        mon = None if late else NetworkMonitor(net)
+        rng = random.Random(7)
+        if faults:
+            sched = FaultSchedule.random(
+                net.topo, 1, rng, window=(100.0, 3000.0)
+            )
+            FaultInjector(net, sched).arm()
+        reliable = ReliableMulticast(net, make_scheme(scheme))
+        for i in range(12):
+            src = rng.randrange(32)
+            dests = rng.sample([n for n in range(32) if n != src], 9)
+            net.engine.at(i * 400, lambda s=src, d=dests: reliable.send(s, d))
+        if late:
+            net.run(until=1500)
+            mon = NetworkMonitor(net)
+        net.run()
+        text = repr(mon.report())
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, text
+
+    def test_max_link_tie_breaks_in_uid_order(self):
+        """Two links equally busy: the report names the one first in uid
+        order, even though the traffic looked the other one up first."""
+        net = SimNetwork(make_line(3), SimParams())
+
+        def send():
+            net.hosts[2].launch_worm(
+                net.unicast_steer(0), None, on_delivered=lambda n, t: None
+            )
+            net.run()
+
+        send()  # builds fwd:l1:s2->s1 before fwd:l0:s1->s0
+        mon = NetworkMonitor(net)
+        send()
+        rep = mon.report()
+        assert rep.max_link_name == "fwd:l0:s1->s0"
+
     def test_empty_window_rejected(self):
         net = default_net()
         mon = NetworkMonitor(net)
@@ -58,8 +115,6 @@ class TestMonitor:
         # so the saturating resource under multicast load is not the links.
         net = default_net()
         mon = NetworkMonitor(net)
-        import random
-
         rng = random.Random(0)
         scheme = make_scheme("binomial")
         for i in range(10):

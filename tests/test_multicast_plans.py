@@ -7,6 +7,8 @@ import pytest
 
 from repro.multicast.binomial import build_binomial_tree, tree_depth_in_steps
 from repro.multicast.kbinomial import (
+    MAX_K,
+    base_packet_hop_latency,
     build_k_binomial_tree,
     choose_k,
     estimate_fpfs_completion,
@@ -79,6 +81,18 @@ class TestKBinomialTree:
         with pytest.raises(ValueError):
             build_k_binomial_tree([0, 1], 0)
 
+    def test_tree_unchanged_past_log2_bound(self):
+        """For n members the tree stops changing at k = ceil(log2 n), and
+        not earlier: the bound ``choose_k`` stops at."""
+        for n in range(2, 130):
+            members = list(range(n))
+            bound = math.ceil(math.log2(n))
+            at_bound = build_k_binomial_tree(members, bound)
+            for k in range(bound + 1, max(bound, MAX_K) + 4):
+                assert build_k_binomial_tree(members, k) == at_bound, (n, k)
+            if bound > 1:
+                assert build_k_binomial_tree(members, bound - 1) != at_bound, n
+
 
 class TestKSelection:
     def test_estimator_prefers_fanout_for_single_packet(self):
@@ -102,6 +116,26 @@ class TestKSelection:
         k, tree = choose_k(net, 0, dests)
         assert 1 <= k <= 8
         assert tree_members(tree, 0) == set([0] + dests)
+
+    @pytest.mark.parametrize("packets", [1, 4])
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 16, 31])
+    def test_choose_k_matches_scan_to_max_k(self, size, packets):
+        """Stopping at ceil(log2 n) picks what scanning every k up to
+        MAX_K picks (the first strict minimum of the estimate)."""
+        net = default_net(message_packets=packets)
+        dests = random.Random(size).sample(range(1, 32), size)
+        ordered = contention_aware_order(net.topo, net.routing, 0, dests)
+        lat = lambda a, b: base_packet_hop_latency(net, a, b)
+        members = [0] + ordered
+        best = min(
+            range(1, min(MAX_K, size) + 1),
+            key=lambda k: estimate_fpfs_completion(
+                build_k_binomial_tree(members, k), 0, net.params, lat
+            ),
+        )
+        assert choose_k(net, 0, ordered) == (
+            best, build_k_binomial_tree(members, best)
+        )
 
     def test_multi_packet_prefers_smaller_k(self):
         # Long messages raise the per-child serialisation cost (m * o_ni per

@@ -1,14 +1,17 @@
 """Unit tests for SimParams validation, the fabric wiring, and host
 primitives."""
 
+import hashlib
 import math
+import random
 
 import pytest
 
 from repro.params import DEFAULT_PARAMS, SimParams
-from repro.sim.fabric import UNBOUNDED_BUFFER, Fabric
+from repro.sim.fabric import UNBOUNDED_BUFFER, Channel, Fabric
 from repro.sim.engine import Engine
 from repro.sim.network import SimNetwork
+from repro.sim.resources import MultiLaneResource
 from repro.topology.irregular import generate_irregular_topology
 from tests.topo_fixtures import make_line
 
@@ -64,14 +67,100 @@ class TestSimParams:
         assert len({SimParams(), SimParams(), SimParams(ratio_r=4.0)}) == 2
 
 
+def _eager_channels(engine, topo, params):
+    """Every channel as a fabric that builds them all up front makes them:
+    inject then deliver channels by node, then both directions of each link
+    (``a`` end first), uids counting up in that order, each lane pointer
+    seeded from sha256 of ``lane:{route_seed}:{uid}``."""
+    specs = []
+    fwd_delay = params.switch_delay + params.link_delay
+    buf = params.input_buffer_flits
+    for node in range(topo.num_nodes):
+        sw = topo.switch_of_node(node)
+        specs.append(("inject", params.link_delay, buf,
+                      dict(to_switch=sw, name=f"inj:n{node}->s{sw}")))
+    for node in range(topo.num_nodes):
+        sw = topo.switch_of_node(node)
+        specs.append(("deliver", fwd_delay, UNBOUNDED_BUFFER,
+                      dict(from_switch=sw, to_node=node,
+                           name=f"del:s{sw}->n{node}")))
+    for lk in topo.links:
+        for frm in (lk.a.switch, lk.b.switch):
+            to = lk.other_end(frm).switch
+            specs.append(("forward", fwd_delay, buf,
+                          dict(from_switch=frm, to_switch=to, link=lk,
+                               name=f"fwd:l{lk.link_id}:s{frm}->s{to}")))
+    out = []
+    for uid, (kind, delay, buffer, kw) in enumerate(specs):
+        payload = f"lane:{params.route_seed}:{uid}".encode()
+        seed = int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+        out.append(Channel(engine, uid, kind, delay, buffer,
+                           lanes=params.vc_count, lane_seed=seed, **kw))
+    return out
+
+
+def _slots(ch):
+    names = Channel.__slots__ + MultiLaneResource.__slots__
+    return {name: getattr(ch, name) for name in names}
+
+
 class TestFabric:
     def test_channel_counts(self):
+        """The full enumeration has every channel once, in uid order, with
+        the names and lane pointers of an up-front build, at 1 and 4 lanes;
+        nothing is built before a lookup asks for it."""
         topo = generate_irregular_topology(SimParams(), seed=3)
+        for vc in (1, 4):
+            params = SimParams(vc_count=vc, route_seed=11)
+            fab = Fabric(Engine(), topo, params)
+            assert fab.built_channels() == []
+            chans = fab.all_channels()
+            assert len(chans) == 64 + 2 * len(topo.links)
+            assert [c.uid for c in chans] == list(range(len(chans)))
+            eager = _eager_channels(Engine(), topo, params)
+            assert [(c.kind, c.name, c._next_lane) for c in chans] == [
+                (c.kind, c.name, c._next_lane) for c in eager
+            ]
+            assert len(fab.built_channels()) == len(chans)
+            assert fab.all_channels() == chans  # enumeration builds once
+
+    @pytest.mark.parametrize("vc", [1, 4])
+    def test_lazy_channel_equals_eager_counterpart(self, vc):
+        """Whatever the lookup order, each channel equals the one an
+        up-front build makes, slot by slot."""
+        topo = generate_irregular_topology(SimParams(), seed=5)
+        params = SimParams(vc_count=vc, route_seed=3)
+        engine = Engine()
+        fab = Fabric(engine, topo, params)
+        eager = _eager_channels(engine, topo, params)
+        keys = (
+            [("inject", n) for n in range(topo.num_nodes)]
+            + [("deliver", n) for n in range(topo.num_nodes)]
+            + [("forward", (lk.link_id, sw)) for lk in topo.links
+               for sw in (lk.a.switch, lk.b.switch)]
+        )
+        order = list(range(len(keys)))
+        random.Random(vc).shuffle(order)
+        for i in order:
+            kind, key = keys[i]
+            ch = getattr(fab, kind)[key]
+            assert _slots(ch) == _slots(eager[i]), (kind, key)
+            assert getattr(fab, kind)[key] is ch
+
+    def test_unknown_keys_raise_keyerror(self):
+        topo = make_line(3)
         fab = Fabric(Engine(), topo, SimParams())
-        assert len(fab.inject) == 32
-        assert len(fab.deliver) == 32
-        assert len(fab.forward) == 2 * len(topo.links)
-        assert len(fab.all_channels()) == 64 + 2 * len(topo.links)
+        lk = topo.links[0]
+        for lookup in (
+            lambda: fab.inject[-1],
+            lambda: fab.inject[topo.num_nodes],
+            lambda: fab.deliver[topo.num_nodes],
+            lambda: fab.forward[(99, 0)],
+            lambda: fab.forward[(lk.link_id, 2)],  # not an endpoint
+        ):
+            with pytest.raises(KeyError):
+                lookup()
+        assert fab.built_channels() == []
 
     def test_channel_delays_and_buffers(self):
         p = SimParams(link_delay=2, switch_delay=3, input_buffer_flits=40)
@@ -121,6 +210,20 @@ class TestHostPrimitives:
         net = SimNetwork(make_line(2), SimParams())
         net.hosts[0].cpu.request(lambda: None)  # acquire, never release
         with pytest.raises(AssertionError, match="not quiescent"):
+            net.assert_quiescent()
+
+    @pytest.mark.parametrize("kind", ["inject", "deliver", "forward"])
+    def test_network_quiescence_check_detects_busy_channel(self, kind):
+        net = SimNetwork(make_line(2), SimParams())
+        fab = net.fabric
+        ch = {
+            "inject": lambda: fab.inject[1],
+            "deliver": lambda: fab.deliver[0],
+            "forward": lambda: fab.forward_channel(net.topo.links[0], 1),
+        }[kind]()
+        net.assert_quiescent()
+        ch.request(lambda lane: None)  # acquire, never release
+        with pytest.raises(AssertionError, match=f"busy: \\['{ch.name}'\\]"):
             net.assert_quiescent()
 
     def test_each_host_has_own_resources(self):

@@ -12,7 +12,7 @@ from repro.routing import (
     is_legal_path,
     shortest_path_links,
 )
-from repro.routing.paths import path_switches
+from repro.routing.paths import minimal_paths, path_switches
 from repro.routing.reachability import decode_mask, header_mask
 from repro.topology import NetworkTopology, PortRef, SwitchLink
 from repro.topology.irregular import generate_irregular_topology
@@ -175,6 +175,24 @@ class TestPaths:
         for p in paths:
             assert len(p) == 2
             assert is_legal_path(rt, 3, p)
+
+    def test_capped_walk_is_a_prefix_of_the_full_enumeration(self):
+        """``minimal_paths`` stops at ``cap`` paths, in the full walk's
+        order; ``all_minimal_paths`` raises only above its limit."""
+        topo = generate_irregular_topology(SimParams(), seed=0)
+        rt = UpDownRouting.build(topo)
+        s, d = max(
+            ((s, d) for s in range(topo.num_switches)
+             for d in range(topo.num_switches)),
+            key=lambda sd: len(all_minimal_paths(rt, *sd)),
+        )
+        paths = all_minimal_paths(rt, s, d)
+        assert len(paths) >= 3
+        for cap in range(1, len(paths) + 2):
+            assert minimal_paths(rt, s, d, cap) == paths[:cap]
+        assert all_minimal_paths(rt, s, d, limit=len(paths)) == paths
+        with pytest.raises(ValueError, match="exceeded limit"):
+            all_minimal_paths(rt, s, d, limit=len(paths) - 1)
 
     def test_is_legal_path_rejects_up_after_down(self):
         topo = diamond_topology()

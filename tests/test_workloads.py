@@ -216,6 +216,65 @@ class TestExactlyOnce:
             assert rec.delivered == want[rec.kind], (scheme, rec)
 
 
+def _networks_left_alive(monkeypatch, fn) -> tuple[int, int]:
+    """(alive, built): the networks ``fn`` builds that are still alive when
+    it returns, with the cycle collector off -- a network that outlives its
+    call is held by a reference cycle."""
+    built = []
+
+    class Recorded(driver.SimNetwork):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(driver, "SimNetwork", Recorded)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return sum(ref() is not None for ref in built), len(built)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class TestNetworksFreed:
+    """Every workload kind's networks die by reference counting, whatever
+    the scheme: with the cycle collector off, none outlives its call."""
+
+    @pytest.mark.parametrize("scheme", ["ni", "tree", "path"])
+    @pytest.mark.parametrize("kind", ["broadcast", "allreduce", "barrier"])
+    def test_collective_kind(self, kind, scheme, monkeypatch):
+        topo = generate_topology_family(GOLDEN_PARAMS, 1)[0]
+
+        def run():
+            report = run_workload(
+                topo, GOLDEN_PARAMS, scheme, seed=5, rate=0.0001,
+                duration=40_000, kinds=(kind,),
+            )
+            assert report.completed == report.admitted > 0
+
+        assert _networks_left_alive(monkeypatch, run) == (0, 2)
+
+    @pytest.mark.parametrize("scheme", ["ni", "tree", "path"])
+    def test_faulted(self, scheme, monkeypatch):
+        """Drained to the end, so no pending event holds the network; at
+        seed 2 the faults abort worms of every scheme mid-flight."""
+        topo = generate_topology_family(GOLDEN_PARAMS, 1)[0]
+
+        def run():
+            report = run_workload(
+                topo, GOLDEN_PARAMS, scheme, seed=2, rate=0.0006,
+                duration=12_000, kinds=("broadcast",), fault_count=2,
+                drain_factor=20,
+            )
+            assert report.faults_fired == 2
+            assert report.completed == report.admitted > 0
+
+        assert _networks_left_alive(monkeypatch, run) == (0, 2)
+
+
 class TestFaultedWorkload:
     def test_finished_network_freed_by_refcount(self, monkeypatch):
         """No reference cycle holds a faulted workload's network (the
