@@ -10,11 +10,13 @@ Examples::
     repro-experiments topology --seed 7 --save topo.json
 
 ``--jobs N`` runs an experiment's independent cells on N worker processes;
-``--cache-dir DIR`` makes runs resumable (crash mid-``run all``, rerun the
-same command, and only missing cells execute).  The ``REPRO_CACHE_DIR``
-environment variable provides the default cache directory; ``--no-cache``
-forces caching off.  Output is byte-identical across jobs counts and cache
-states.
+``--cache-dir DIR`` caches each cell's value, keyed by the cell and a
+fingerprint of the code, so runs are resumable (crash mid-``run all``,
+rerun the same command, and only missing cells execute) and any code edit
+invalidates the cache.  Experiments without cells run again every time.
+The ``REPRO_CACHE_DIR`` environment variable provides the default cache
+directory; ``--no-cache`` forces caching off.  Output is byte-identical
+across jobs counts and cache states.
 """
 
 from __future__ import annotations
@@ -63,9 +65,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             cache_dir=cache_dir,
         )
         print(result.to_table())
-        if stats.experiments_cached:
-            detail = "experiment cache hit"
-        elif stats.cells_total:
+        if stats.cells_total:
             detail = (
                 f"cells: {stats.cells_executed} run, "
                 f"{stats.cells_cached} cached"
@@ -254,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         default=os.environ.get("REPRO_CACHE_DIR"),
         help=(
-            "cache cell and experiment results under DIR so runs are "
+            "cache cell results under DIR, keyed by the code, so runs are "
             "resumable (default: $REPRO_CACHE_DIR, else no caching)"
         ),
     )

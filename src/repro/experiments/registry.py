@@ -2,13 +2,11 @@
 
 :func:`run_experiment` is the one entry point that applies the execution
 policy: ``jobs`` fans the experiment's cells out over worker processes and
-``cache_dir`` enables the two-tier on-disk cache --
-
-* an **experiment-level** entry (the finished ``result_to_dict`` JSON,
-  keyed by experiment id + full profile + schema version) that lets a warm
-  re-run skip the experiment entirely, and
-* the **cell-level** entries of :class:`repro.experiments.runner.CellCache`
-  that make an interrupted run resumable at simulation-call granularity.
+``cache_dir`` roots the :class:`repro.experiments.runner.CellCache`, one
+content-addressed entry per cell keyed by the cell descriptor and a
+fingerprint of the code.  A warm re-run serves every cell from it and makes
+an interrupted run resumable at simulation-call granularity; experiments
+without a cell decomposition simply run again.
 
 Results are byte-identical across jobs counts and cache states: cells are
 independently seeded and merged canonically, and cached JSON round-trips
@@ -17,11 +15,7 @@ floats exactly.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import pathlib
-from dataclasses import asdict
 from typing import Callable
 
 from repro.experiments import (
@@ -40,7 +34,6 @@ from repro.experiments import (
 from repro.experiments.base import ExperimentResult
 from repro.experiments.config import PROFILES, Profile
 from repro.experiments.runner import (
-    SCHEMA_VERSION,
     CellCache,
     ExecutionStats,
     execution_context,
@@ -87,52 +80,6 @@ def _resolve_profile(profile: Profile | str) -> Profile:
     return profile
 
 
-def _experiment_digest(exp_id: str, profile: Profile) -> str:
-    """Content hash of a whole experiment run (id + profile + schema)."""
-    payload = json.dumps(
-        {
-            "schema": SCHEMA_VERSION,
-            "exp_id": exp_id,
-            "profile": asdict(profile),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _experiment_cache_path(
-    cache_dir: pathlib.Path, exp_id: str, profile: Profile
-) -> pathlib.Path:
-    digest = _experiment_digest(exp_id, profile)
-    return (
-        cache_dir
-        / "experiments"
-        / f"{exp_id}-{profile.name}-{digest[:16]}.json"
-    )
-
-
-def _load_cached_experiment(path: pathlib.Path) -> ExperimentResult | None:
-    from repro.experiments.io import result_from_dict
-
-    try:
-        return result_from_dict(json.loads(path.read_text()))
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"experiment cache: discarding unreadable {path.name}: {exc}")
-        return None
-
-
-def _store_cached_experiment(path: pathlib.Path, result: ExperimentResult) -> None:
-    from repro.experiments.io import result_to_dict
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(result_to_dict(result), indent=2) + "\n")
-    os.replace(tmp, path)
-
-
 def run_experiment_with_stats(
     exp_id: str,
     profile: Profile | str = "quick",
@@ -143,7 +90,7 @@ def run_experiment_with_stats(
     """Run one experiment and report what was executed vs cache-served.
 
     ``jobs`` sets the worker-process count for cell-decomposed experiments;
-    ``cache_dir`` (None disables caching) roots both cache tiers.
+    ``cache_dir`` (None disables caching) roots the cell cache.
     """
     profile = _resolve_profile(profile)
     try:
@@ -153,21 +100,11 @@ def run_experiment_with_stats(
             f"unknown experiment {exp_id!r}; choose from {sorted(EXPERIMENTS)}"
         ) from None
 
-    if cache_dir is None:
-        with execution_context(jobs=jobs) as ctx:
-            return runner(profile), ctx.stats
-
-    cache_root = pathlib.Path(cache_dir)
-    exp_path = _experiment_cache_path(cache_root, exp_id, profile)
-    cached = _load_cached_experiment(exp_path)
-    if cached is not None:
-        stats = ExecutionStats(experiments_cached=1)
-        return cached, stats
-    cell_cache = CellCache(cache_root / "cells")
-    with execution_context(jobs=jobs, cache=cell_cache) as ctx:
-        result = runner(profile)
-    _store_cached_experiment(exp_path, result)
-    return result, ctx.stats
+    cache = None
+    if cache_dir is not None:
+        cache = CellCache(pathlib.Path(cache_dir) / "cells")
+    with execution_context(jobs=jobs, cache=cache) as ctx:
+        return runner(profile), ctx.stats
 
 
 def run_experiment(

@@ -14,11 +14,11 @@ load).  This module gives each such call a first-class identity -- a
   scheme comparisons on identical topology/draw sequences, and schemes
   sharing one cell seed preserves that pairing.
 * **A content-addressed on-disk cache.**  :class:`CellCache` keys each cell
-  by a stable hash of its full descriptor (schema version, sim parameters,
-  scheme, coordinates, profile knobs, seed) and stores one atomically
-  written JSON file per cell, so an interrupted ``run all`` resumes from
-  the completed cells and a parameter change invalidates exactly the cells
-  it affects.
+  by a stable hash of its full descriptor (code fingerprint, sim
+  parameters, scheme, coordinates, profile knobs, seed) and stores one
+  atomically written JSON file per cell, so an interrupted ``run all``
+  resumes from the completed cells, a parameter change invalidates exactly
+  the cells it affects, and any edit to the code invalidates every cell.
 * **A process-pool executor.**  :func:`execute_cells` fans pending cells out
   over ``jobs`` worker processes and merges values back in submission
   order.  Cells are seeded independently and merged canonically, so the
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import hashlib
 import json
 import os
@@ -44,9 +45,6 @@ from typing import Callable, Iterator
 
 from repro.params import SimParams
 
-SCHEMA_VERSION = 1
-"""Bump to invalidate every cached cell when the simulation model changes."""
-
 _SEED_SPACE = 2**31
 """Derived seeds live in [0, 2**31); comfortably inside Python's int seeds."""
 
@@ -54,6 +52,28 @@ _SEED_SPACE = 2**31
 def _canonical_json(data: object) -> str:
     """Stable, whitespace-free JSON used for hashing descriptors."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+@functools.cache
+def code_fingerprint() -> str:
+    """SHA-256 over every ``*.py`` of the ``repro`` package, in path order.
+
+    Each file contributes its package-relative POSIX path and its bytes, so
+    any source edit -- whitespace included -- changes every cell's cache
+    key: a spurious miss only costs time, a stale hit would serve results
+    the code no longer produces.
+    """
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    files = sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for rel, path in files:
+        digest.update(rel.encode("utf-8") + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
 
 
 def derive_seed(profile_seed: int, exp_id: str, *key: object) -> int:
@@ -96,7 +116,7 @@ class Cell:
     def descriptor(self) -> dict:
         """Plain-data identity of the cell; the input to the cache hash."""
         return {
-            "schema": SCHEMA_VERSION,
+            "code": code_fingerprint(),
             "kind": self.kind,
             "exp_id": self.exp_id,
             "params": asdict(self.params),
@@ -227,8 +247,6 @@ class CellCache:
 
     def __init__(self, root: str | pathlib.Path) -> None:
         self.root = pathlib.Path(root)
-        self.hits = 0
-        self.misses = 0
 
     def _path(self, digest: str) -> pathlib.Path:
         return self.root / digest[:2] / f"{digest}.json"
@@ -240,16 +258,13 @@ class CellCache:
             data = json.loads(path.read_text())
             value = data["value"]
         except FileNotFoundError:
-            self.misses += 1
             return _MISS
         except (OSError, ValueError, KeyError, TypeError) as exc:
             # Corrupt entry: drop it loudly and recompute the cell.
             print(f"cell cache: discarding unreadable {path.name}: {exc}")
             with contextlib.suppress(OSError):
                 path.unlink()
-            self.misses += 1
             return _MISS
-        self.hits += 1
         return value
 
     def put(self, cell: Cell, value: object) -> None:
@@ -270,7 +285,6 @@ class ExecutionStats:
 
     cells_executed: int = 0
     cells_cached: int = 0
-    experiments_cached: int = 0
 
     @property
     def cells_total(self) -> int:

@@ -109,6 +109,10 @@ class Engine:
         self._events_fired += 1
         return True
 
+    def clear(self) -> None:
+        """Drop every scheduled event; ``now`` and ``events_fired`` stay."""
+        self._heap.clear()
+
     def next_event_time(self) -> float | None:
         """Time of the earliest scheduled event (``None`` when idle)."""
         return self._heap[0][0] if self._heap else None

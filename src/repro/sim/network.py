@@ -217,6 +217,23 @@ class SimNetwork:
         """
         self.engine.run(until=until, max_events=max_events)
 
+    def discard_pending(self) -> None:
+        """Abandon a run stopped at its time bound.
+
+        Drops the queued events, the hosts' and channels' waiting requesters
+        and the in-flight worms.  Their callbacks close over the network, so
+        left in place they hold it in reference cycles until the cycle
+        collector runs; dropped, the network dies by reference counting.  It
+        must own its engine and must not run again afterwards.
+        """
+        self.engine.clear()
+        for host in self.hosts.values():
+            host.cpu.drop_waiters()
+            host.ni.drop_waiters()
+        for channel in self.fabric.built_channels():
+            channel.drop_waiters()
+        self._live_worms.clear()
+
     def assert_quiescent(self) -> None:
         """Sanity check between experiments: nothing busy, nothing scheduled.
 

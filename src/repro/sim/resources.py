@@ -157,6 +157,10 @@ class MultiLaneResource:
         """Requesters waiting (excludes current lane owners)."""
         return len(self._queue)
 
+    def drop_waiters(self) -> None:
+        """Forget every queued requester; their grants never fire."""
+        self._queue.clear()
+
 
 class FifoResource:
     """A unit-capacity resource granted in strict request order.
@@ -225,6 +229,10 @@ class FifoResource:
     def queue_length(self) -> int:
         """Requesters waiting (excludes the current owner)."""
         return len(self._queue)
+
+    def drop_waiters(self) -> None:
+        """Forget every queued requester; their grants never fire."""
+        self._queue.clear()
 
     def hold_for(self, duration: float, then: GrantFn | None = None) -> None:
         """Convenience: request, hold ``duration`` cycles, release.

@@ -418,8 +418,11 @@ def run_workload(
     net.run(
         until=duration + drain_factor * duration, max_events=_MAX_EVENTS
     )
-    # The reliable layer's listener closes a cycle through the network;
-    # dropping it lets the network die by reference counting.
+    events = net.engine.events_fired
+    # Work still queued at the bound, and the reliable layer's listener,
+    # close cycles through the network; dropping them lets it die by
+    # reference counting.
+    net.discard_pending()
     net.fault_listeners.clear()
 
     gave_up = 0
@@ -441,7 +444,7 @@ def run_workload(
         records=records,
         faults_fired=net.chaos.faults_fired,
         gave_up=gave_up,
-        events=net.engine.events_fired,
+        events=events,
     )
 
 

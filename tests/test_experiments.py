@@ -287,7 +287,7 @@ class TestCli:
         cold_json = (tmp_path / "out" / "ablation-fpfs.json").read_bytes()
         assert cli_main(argv) == 0
         warm = capsys.readouterr().out
-        assert "experiment cache hit" in warm
+        assert "cells: 0 run, " in warm
         assert (tmp_path / "out" / "ablation-fpfs.json").read_bytes() == cold_json
 
     def test_no_cache_flag_disables_caching(self, tmp_path, capsys):
@@ -297,7 +297,7 @@ class TestCli:
             "--no-cache",
         ]
         assert cli_main(argv) == 0
-        assert not (tmp_path / "experiments").exists()
+        assert not (tmp_path / "cells").exists()
 
 
 class TestCommittedResults:

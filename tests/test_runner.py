@@ -3,10 +3,16 @@
 The load-bearing contracts: per-cell seeds are deterministic and
 platform-stable; parallel execution is byte-identical to serial; a warm
 cache serves results without executing a single simulation cell; corrupt
-cache entries are recomputed, not trusted.
+cache entries are recomputed, not trusted; an edit to the code misses the
+cache.
 """
 
 import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -162,7 +168,6 @@ class TestCellCache:
         _cells, warm_values, cache, warm_stats = self.run_cells(tmp_path)
         assert warm_stats.cells_executed == 0
         assert warm_stats.cells_cached == len(cells)
-        assert cache.hits == len(cells)
         assert warm_values == values
 
     def test_cache_round_trips_exactly(self, tmp_path):
@@ -215,6 +220,9 @@ class TestCellCache:
 
 
 class TestExperimentLevelCache:
+    """Whole experiments through ``run_experiment_with_stats``, whose one
+    cache tier is the cell cache."""
+
     def test_warm_rerun_executes_zero_cells(self, tmp_path):
         result, cold = run_experiment_with_stats(
             "fig06", MICRO, jobs=2, cache_dir=tmp_path
@@ -224,21 +232,25 @@ class TestExperimentLevelCache:
             "fig06", MICRO, jobs=2, cache_dir=tmp_path
         )
         assert warm.cells_executed == 0
-        assert warm.cells_cached == 0
-        assert warm.experiments_cached == 1
+        assert warm.cells_cached == cold.cells_executed
         assert result_bytes(warm_result) == result_bytes(result)
 
     def test_resume_from_cell_cache(self, tmp_path):
-        result, _ = run_experiment_with_stats("fig06", MICRO, cache_dir=tmp_path)
-        # Losing the experiment-level entry simulates a crash after the
-        # cells completed but before the merge was persisted.
-        for p in (tmp_path / "experiments").glob("*.json"):
+        result, cold = run_experiment_with_stats(
+            "fig06", MICRO, cache_dir=tmp_path
+        )
+        # A crash mid-run leaves only some cells stored: drop half of them.
+        entries = sorted((tmp_path / "cells").glob("**/*.json"))
+        assert len(entries) == cold.cells_executed > 1
+        lost = entries[::2]
+        for p in lost:
             p.unlink()
         resumed, stats = run_experiment_with_stats(
             "fig06", MICRO, cache_dir=tmp_path
         )
-        assert stats.cells_executed == 0
-        assert stats.cells_cached > 0
+        assert stats.cells_executed == len(lost)
+        assert stats.cells_cached == len(entries) - len(lost)
+        assert sorted((tmp_path / "cells").glob("**/*.json")) == entries
         assert result_bytes(resumed) == result_bytes(result)
 
     def test_profile_change_misses(self, tmp_path):
@@ -256,5 +268,52 @@ class TestExperimentLevelCache:
         _result, stats = run_experiment_with_stats(
             "fig06", other, cache_dir=tmp_path
         )
-        assert stats.experiments_cached == 0
         assert stats.cells_executed > 0
+
+
+class TestCacheKeyedByCode:
+    """The cache key covers the code: after a model edit, a warm run
+    re-executes and reproduces a fresh run of the edited code."""
+
+    DECODE = "hop.h + self.params.routing_delay,"
+
+    def run_cli(self, src, *args) -> str:
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("REPRO_CACHE_DIR", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.cli", "run", "fig06",
+             "--profile", "quick", *args],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return proc.stdout
+
+    def test_model_edit_misses_the_cache(self, tmp_path):
+        import repro
+
+        src = tmp_path / "src"
+        shutil.copytree(
+            pathlib.Path(repro.__file__).parent, src / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        cache = tmp_path / "cache"
+        self.run_cli(src, "--cache-dir", cache, "--json", tmp_path / "o1")
+
+        worm = src / "repro" / "sim" / "worm.py"
+        text = worm.read_text()
+        assert text.count(self.DECODE) == 1
+        worm.write_text(
+            text.replace(self.DECODE, "hop.h + self.params.routing_delay + 7,")
+        )
+        warm = self.run_cli(
+            src, "--cache-dir", cache, "--json", tmp_path / "o2"
+        )
+        self.run_cli(src, "--no-cache", "--json", tmp_path / "fresh")
+
+        assert "cells: 0 run" not in warm
+        assert "cells:" in warm
+        o1, o2, fresh = (
+            (tmp_path / d / "fig06.json").read_bytes()
+            for d in ("o1", "o2", "fresh")
+        )
+        assert o2 == fresh
+        assert o2 != o1

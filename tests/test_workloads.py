@@ -274,6 +274,36 @@ class TestNetworksFreed:
 
         assert _networks_left_alive(monkeypatch, run) == (0, 2)
 
+    @pytest.mark.parametrize(
+        "params, scheme, kind, faults, drain, rate",
+        [
+            (GOLDEN_PARAMS, "ni", "broadcast", 2,
+             driver.DEFAULT_DRAIN_FACTOR, 0.002),
+            (GOLDEN_PARAMS, "tree", "allreduce", 0, 0.05, 0.004),
+            # Cheap hosts and long messages make worms queue on channels.
+            (SimParams(num_switches=16, num_nodes=16, o_host=20,
+                       packet_flits=512, message_packets=4),
+             "path", "broadcast", 0, 0.0, 0.004),
+        ],
+        ids=["host-cpu-backlog", "worms-in-flight", "channel-waiters"],
+    )
+    def test_stopped_at_bound(
+        self, params, scheme, kind, faults, drain, rate, monkeypatch
+    ):
+        """A run that stops at its time bound with work still queued
+        abandons that work instead of leaving it to hold the network."""
+        topo = generate_topology_family(params, 1)[0]
+
+        def run():
+            report = run_workload(
+                topo, params, scheme, seed=5, rate=rate,
+                duration=12_000, kinds=(kind,), fault_count=faults,
+                drain_factor=drain,
+            )
+            assert report.completed < report.admitted
+
+        assert _networks_left_alive(monkeypatch, run) == (0, 2)
+
 
 class TestFaultedWorkload:
     def test_finished_network_freed_by_refcount(self, monkeypatch):
