@@ -111,33 +111,42 @@ class UnicastBinomialScheme(MulticastScheme):
         )
         n_packets = net.params.message_packets
 
-        def on_host_delivery(node: int, time: float) -> None:
+        def on_host_delivery(
+            node: int, time: float, kids: list[tuple[int, HostReceiver]]
+        ) -> None:
             result._record(node, time, on_complete)
-            sends_for(node)
+            sends_to(node, kids)
 
-        # Built up front, so ``sends_for`` does not refer back to
-        # ``on_host_delivery``: with receivers dropping their callback once
-        # it fires, no closure cycle (holding ``net``) outlives the message.
-        receivers = {
-            child: HostReceiver(
-                net.hosts[child],
-                n_packets,
-                on_delivered=lambda t, n=child: on_host_delivery(n, t),
-            )
-            for children in tree.values()
-            for child in children
-        }
-
-        def sends_for(node: int) -> None:
+        def sends_to(node: int, kids: list[tuple[int, HostReceiver]]) -> None:
             """Issue this node's child messages (back-to-back host sends)."""
-            for child in tree[node]:
+            for child, receiver in kids:
                 launchers = [
-                    _make_launcher(net, node, child, receivers[child])
+                    _make_launcher(net, node, child, receiver)
                     for _ in range(n_packets)
                 ]
                 host_send(net.hosts[node], launchers)
 
-        sends_for(source)
+        # Each receiver is bound to its own children's receivers only, and
+        # the plan is a tree, so no closure cycle (holding ``net``) outlives
+        # the message, delivered or abandoned.
+        children: dict[int, list[tuple[int, HostReceiver]]] = {
+            node: [] for node in tree
+        }
+        receivers = {
+            child: HostReceiver(
+                net.hosts[child],
+                n_packets,
+                on_delivered=lambda t, n=child, kids=children[child]: (
+                    on_host_delivery(n, t, kids)
+                ),
+            )
+            for nodes in tree.values()
+            for child in nodes
+        }
+        for node, nodes in tree.items():
+            children[node].extend((c, receivers[c]) for c in nodes)
+
+        sends_to(source, children[source])
         return result
 
 

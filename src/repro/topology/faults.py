@@ -69,6 +69,29 @@ def removable_links(topo: NetworkTopology) -> list[int]:
     return out
 
 
+def _fail_in_turn(
+    topo: NetworkTopology, n_failures: int, rng: random.Random, cannot: str
+) -> tuple[NetworkTopology, list[int]]:
+    """Fail ``n_failures`` links one at a time, each drawn with
+    ``rng.choice`` from the links removable at that point.
+
+    Returns the degraded topology and the victims in draw order; raises
+    ``ValueError`` starting with ``cannot`` when no link is removable.
+    """
+    current = topo
+    victims: list[int] = []
+    for _ in range(n_failures):
+        candidates = removable_links(current)
+        if not candidates:
+            raise ValueError(
+                f"{cannot} without disconnecting (stuck after {len(victims)})"
+            )
+        victim = rng.choice(candidates)
+        current = remove_link(current, victim)
+        victims.append(victim)
+    return current, victims
+
+
 def degrade(
     topo: NetworkTopology,
     n_failures: int,
@@ -82,20 +105,10 @@ def degrade(
     """
     if n_failures < 0:
         raise ValueError("n_failures must be non-negative")
-    rng = rng or random.Random(0)
-    current = topo
-    failed: list[int] = []
-    for _ in range(n_failures):
-        candidates = removable_links(current)
-        if not candidates:
-            raise ValueError(
-                f"cannot fail {n_failures} links without disconnecting "
-                f"(stuck after {len(failed)})"
-            )
-        victim = rng.choice(candidates)
-        current = remove_link(current, victim)
-        failed.append(victim)
-    return current, failed
+    return _fail_in_turn(
+        topo, n_failures, rng or random.Random(0),
+        f"cannot fail {n_failures} links",
+    )
 
 
 def schedule_faults(
@@ -119,18 +132,9 @@ def schedule_faults(
     if hi < lo:
         raise ValueError("window must be (low, high) with low <= high")
     rng = rng or random.Random(0)
-    current = topo
-    victims: list[int] = []
-    for _ in range(n_failures):
-        candidates = removable_links(current)
-        if not candidates:
-            raise ValueError(
-                f"cannot schedule {n_failures} runtime faults without "
-                f"disconnecting (stuck after {len(victims)})"
-            )
-        victim = rng.choice(candidates)
-        current = remove_link(current, victim)
-        victims.append(victim)
+    _, victims = _fail_in_turn(
+        topo, n_failures, rng, f"cannot schedule {n_failures} runtime faults"
+    )
     # Sorted fire times are paired with victims in draw order, so the links
     # fail in exactly the sequence whose connectivity was just validated.
     times = sorted(rng.uniform(lo, hi) for _ in victims)

@@ -71,25 +71,40 @@ class NetworkTopology:
     _nodes_on: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        self._adj = {s: [] for s in range(self.num_switches)}
-        self._nodes_on = {s: [] for s in range(self.num_switches)}
-        used: set[PortRef] = set()
+        # One ordered pass: per link the self-link check, then each end's
+        # range and duplicate checks; then each node's.  Fault drawing
+        # rebuilds whole topologies per candidate link, so used ports are
+        # keyed as ints (switch * P + port, unique once in range) rather
+        # than hashed as PortRefs, and _check_port runs only to raise.
+        n, ports = self.num_switches, self.ports_per_switch
+        adj: dict[int, list[SwitchLink]] = {s: [] for s in range(n)}
+        nodes_on: dict[int, list[int]] = {s: [] for s in range(n)}
+        used: set[int] = set()
         for link in self.links:
-            if link.a.switch == link.b.switch:
-                raise ValueError(f"self-link on switch {link.a.switch}")
-            for end in (link.a, link.b):
-                self._check_port(end)
-                if end in used:
+            a, b = link.a, link.b
+            if a.switch == b.switch:
+                raise ValueError(f"self-link on switch {a.switch}")
+            for end in (a, b):
+                s, p = end.switch, end.port
+                if not (0 <= s < n and 0 <= p < ports):
+                    self._check_port(end)
+                key = s * ports + p
+                if key in used:
                     raise ValueError(f"port {end} used twice")
-                used.add(end)
-            self._adj[link.a.switch].append(link)
-            self._adj[link.b.switch].append(link)
+                used.add(key)
+            adj[a.switch].append(link)
+            adj[b.switch].append(link)
         for node, attach in enumerate(self.node_attachment):
-            self._check_port(attach)
-            if attach in used:
+            s, p = attach.switch, attach.port
+            if not (0 <= s < n and 0 <= p < ports):
+                self._check_port(attach)
+            key = s * ports + p
+            if key in used:
                 raise ValueError(f"port {attach} used twice (node {node})")
-            used.add(attach)
-            self._nodes_on[attach.switch].append(node)
+            used.add(key)
+            nodes_on[s].append(node)
+        self._adj = adj
+        self._nodes_on = nodes_on
 
     def _check_port(self, ref: PortRef) -> None:
         if not (0 <= ref.switch < self.num_switches):
@@ -133,11 +148,15 @@ class NetworkTopology:
         """True when every switch is reachable from switch 0."""
         if self.num_switches == 0:
             return True
+        # Walks link ends directly: neighbors() would sort a fresh set per
+        # switch, and remove_link runs this once per candidate link.
+        adj = self._adj
         seen = {0}
         stack = [0]
         while stack:
             s = stack.pop()
-            for nb in self.neighbors(s):
+            for lk in adj[s]:
+                nb = lk.b.switch if lk.a.switch == s else lk.a.switch
                 if nb not in seen:
                     seen.add(nb)
                     stack.append(nb)

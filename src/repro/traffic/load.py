@@ -156,6 +156,9 @@ def run_load_experiment(
             net.engine.at(first, lambda n=node: issue(n))
 
     net.run(until=duration + drain_factor * duration)
+    # A saturated point stops at the drain horizon with work queued, whose
+    # callbacks close over the network; abandon it.
+    net.discard_pending()
     # ``issue`` reaches itself through its closure cell, a cycle that would
     # hold the network until the cycle collector runs; emptying the cell
     # lets it die by reference counting.

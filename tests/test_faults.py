@@ -1,7 +1,9 @@
 """Tests for link-fault injection and post-reconfiguration behaviour."""
 
 import random
+from collections import Counter
 
+import networkx as nx
 import pytest
 
 from repro.multicast import make_scheme
@@ -89,6 +91,92 @@ class TestDegrade:
         # error must say how far the degradation got before sticking.
         with pytest.raises(ValueError, match=r"stuck after 1"):
             degrade(make_diamond(), 2, random.Random(0))
+
+
+def _random_multigraph(rng: random.Random) -> NetworkTopology:
+    """0-7 switches joined by random links, parallel links included."""
+    n = rng.randint(0, 7)
+    next_port = [0] * n
+    links = []
+    if n >= 2:
+        for link_id in range(rng.randint(0, n + 4)):
+            a, b = rng.sample(range(n), 2)
+            if rng.random() < 0.3 and links:  # a parallel twin
+                a, b = links[-1].a.switch, links[-1].b.switch
+            ends = []
+            for s in (a, b):
+                ends.append(PortRef(s, next_port[s]))
+                next_port[s] += 1
+            links.append(SwitchLink(link_id, *ends))
+    attach = [PortRef(s, next_port[s]) for s in range(n)]
+    return NetworkTopology(n, 16, attach, links)
+
+
+def _switch_multigraph(topo: NetworkTopology) -> nx.MultiGraph:
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(topo.num_switches))
+    g.add_edges_from((lk.a.switch, lk.b.switch) for lk in topo.links)
+    return g
+
+
+def _non_bridges(topo: NetworkTopology) -> list[int]:
+    """Links that are not bridges of the switch multigraph, in link order:
+    a link with a parallel twin never is, any other is judged by
+    ``networkx.bridges`` on the simple graph."""
+    pair = {lk.link_id: frozenset((lk.a.switch, lk.b.switch))
+            for lk in topo.links}
+    twins = Counter(pair.values())
+    simple = nx.Graph(_switch_multigraph(topo))
+    bridges = {frozenset(e) for e in nx.bridges(simple)}
+    return [
+        lk.link_id for lk in topo.links
+        if twins[pair[lk.link_id]] > 1 or pair[lk.link_id] not in bridges
+    ]
+
+
+class TestConnectivityProperties:
+    """``is_connected`` and ``removable_links`` against networkx."""
+
+    def test_is_connected_matches_networkx(self):
+        rng = random.Random(11)
+        sizes, outcomes, parallel = set(), set(), 0
+        for _ in range(400):
+            topo = _random_multigraph(rng)
+            g = _switch_multigraph(topo)
+            expected = topo.num_switches == 0 or nx.is_connected(g)
+            assert topo.is_connected() == expected
+            sizes.add(min(topo.num_switches, 2))
+            outcomes.add(expected)
+            parallel += g.number_of_edges() > nx.Graph(g).number_of_edges()
+        assert sizes == {0, 1, 2} and outcomes == {True, False}
+        assert parallel > 0
+
+    def test_removable_links_on_multigraphs(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            topo = _random_multigraph(rng)
+            if not topo.is_connected():
+                # No removal can leave a disconnected network connected.
+                assert removable_links(topo) == []
+            else:
+                assert removable_links(topo) == _non_bridges(topo)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("switches", [4, 8, 16, 32, 64, 128])
+    def test_removable_links_are_the_non_bridges(self, switches, fraction):
+        params = SimParams(num_switches=switches, num_nodes=2 * switches)
+        topo = generate_irregular_topology(
+            params, seed=switches, extra_link_fraction=fraction
+        )
+        rng = random.Random(switches)
+        for _ in range(4):  # the healthy topology, then up to 3 removals
+            removable = removable_links(topo)
+            assert removable == _non_bridges(topo)
+            if not removable:
+                break
+            topo = remove_link(topo, rng.choice(removable))
+        if fraction == 0.0:
+            assert removable == []  # a pure spanning tree
 
 
 class TestReconfiguration:

@@ -1,5 +1,7 @@
 """Unit tests for the irregular topology generator and graph model."""
 
+import random
+
 import pytest
 
 from repro.params import SimParams
@@ -95,6 +97,116 @@ class TestNetworkTopologyModel:
         g = self.make_two_switch().to_networkx()
         assert g.number_of_nodes() == 4  # 2 switches + 2 hosts
         assert g.number_of_edges() == 3  # 1 link + 2 attachments
+
+
+def _first_error(num_switches, ports, attach, links) -> str | None:
+    """Reference scan: the first ``ValueError`` text a topology raises.
+
+    Per link the self-link check, then each end's switch range, port range
+    and earlier use; then each node's range and earlier use.
+    """
+    used = []
+
+    def check(ref, suffix=""):
+        if not 0 <= ref.switch < num_switches:
+            return f"switch {ref.switch} out of range"
+        if not 0 <= ref.port < ports:
+            return f"port {ref.port} out of range on switch {ref.switch}"
+        if ref in used:
+            return f"port {ref} used twice{suffix}"
+        used.append(ref)
+        return None
+
+    for lk in links:
+        if lk.a.switch == lk.b.switch:
+            return f"self-link on switch {lk.a.switch}"
+        for end in (lk.a, lk.b):
+            if (err := check(end)) is not None:
+                return err
+    for node, ref in enumerate(attach):
+        if (err := check(ref, f" (node {node})")) is not None:
+            return err
+    return None
+
+
+def _construction_error(num_switches, ports, attach, links) -> str | None:
+    try:
+        NetworkTopology(num_switches, ports, attach, links)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestConstructorErrors:
+    """Every invalid input raises the same text, and mixed-invalid inputs
+    report the same first error, whatever the validation's internals."""
+
+    @pytest.mark.parametrize(
+        "attach, links, text",
+        [
+            ([], [SwitchLink(0, PortRef(1, 0), PortRef(1, 1))],
+             "self-link on switch 1"),
+            ([], [SwitchLink(0, PortRef(0, 0), PortRef(3, 0))],
+             "switch 3 out of range"),
+            ([], [SwitchLink(0, PortRef(-1, 0), PortRef(0, 0))],
+             "switch -1 out of range"),
+            ([], [SwitchLink(0, PortRef(0, 0), PortRef(1, 4))],
+             "port 4 out of range on switch 1"),
+            ([PortRef(2, 0)], [], "switch 2 out of range"),
+            ([PortRef(0, -1)], [], "port -1 out of range on switch 0"),
+            ([], [SwitchLink(0, PortRef(0, 1), PortRef(1, 1)),
+                  SwitchLink(1, PortRef(0, 1), PortRef(1, 2))],
+             "port PortRef(switch=0, port=1) used twice"),
+            ([PortRef(0, 0), PortRef(0, 0)], [],
+             "port PortRef(switch=0, port=0) used twice (node 1)"),
+            ([PortRef(1, 3)], [SwitchLink(0, PortRef(0, 3), PortRef(1, 3))],
+             "port PortRef(switch=1, port=3) used twice (node 0)"),
+        ],
+        ids=[
+            "self-link", "switch-high", "switch-negative", "port-high",
+            "node-switch", "node-port", "link-port-twice", "node-port-twice",
+            "node-on-link-port",
+        ],
+    )
+    def test_exact_text(self, attach, links, text):
+        with pytest.raises(ValueError) as exc:
+            NetworkTopology(2, 4, attach, links)
+        assert str(exc.value) == text
+        assert _first_error(2, 4, attach, links) == text
+
+    def test_first_failing_link_wins(self):
+        ok = SwitchLink(0, PortRef(0, 0), PortRef(1, 0))
+        dup = SwitchLink(1, PortRef(0, 0), PortRef(1, 1))
+        loop = SwitchLink(2, PortRef(1, 2), PortRef(1, 3))
+        assert _construction_error(2, 4, [], [ok, dup, loop]) == (
+            "port PortRef(switch=0, port=0) used twice"
+        )
+        assert _construction_error(2, 4, [], [ok, loop, dup]) == (
+            "self-link on switch 1"
+        )
+        # The links are all checked before any node.
+        assert _construction_error(2, 4, [PortRef(5, 0)], [ok, dup]) == (
+            "port PortRef(switch=0, port=0) used twice"
+        )
+
+    def test_mixed_invalid_inputs_match_reference_scan(self):
+        rng = random.Random(30)
+        seen = set()
+        for _ in range(3_000):
+            n, ports = rng.randint(1, 4), rng.randint(1, 4)
+
+            def ref():
+                return PortRef(rng.randint(-1, n), rng.randint(-1, ports))
+
+            links = [
+                SwitchLink(i, ref(), ref()) for i in range(rng.randint(0, 5))
+            ]
+            attach = [ref() for _ in range(rng.randint(0, 4))]
+            expected = _first_error(n, ports, attach, links)
+            assert _construction_error(n, ports, attach, links) == expected
+            seen.add(expected.split()[0] if expected else None)
+        # Every error class, and valid inputs, were drawn.
+        assert seen == {"self-link", "switch", "port", None}
 
 
 class TestGenerator:

@@ -27,6 +27,29 @@ def topo_default(seed=3):
     return generate_irregular_topology(SimParams(), seed=seed)
 
 
+def _freed_by_refcount(monkeypatch, module, fn) -> bool:
+    """True when the one network ``fn`` builds through ``module`` is gone as
+    soon as ``fn`` returns, with the cycle collector off: no reference cycle
+    holds it."""
+    built = []
+
+    class Recorded(module.SimNetwork):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(module, "SimNetwork", Recorded)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return len(built) == 1 and built[0]() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class TestSingleDriver:
     def test_measure_returns_complete_result(self):
         res = measure_single_multicast(
@@ -64,27 +87,15 @@ class TestSingleDriver:
     def test_finished_network_freed_by_refcount(self, scheme, monkeypatch):
         """No reference cycle holds a finished network: with the cycle
         collector off it is gone as soon as the call returns."""
-        built = []
-
-        class Recorded(single.SimNetwork):
-            def __init__(self, *args, **kw):
-                super().__init__(*args, **kw)
-                built.append(weakref.ref(self))
-
-        monkeypatch.setattr(single, "SimNetwork", Recorded)
         topo = topo_default()
-        was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
+
+        def run():
             res = measure_single_multicast(
                 topo, SimParams(), scheme, 0, [5, 9, 17, 21, 26, 30]
             )
             assert res.complete
-            assert len(built) == 1 and built[0]() is None
-        finally:
-            if was_enabled:
-                gc.enable()
+
+        assert _freed_by_refcount(monkeypatch, single, run)
 
     def test_draw_multicast_valid(self):
         import random
@@ -141,24 +152,25 @@ class TestLoadDriver:
     def test_finished_network_freed_by_refcount(self, scheme, monkeypatch):
         """No reference cycle holds a load point's network: with the cycle
         collector off it is gone as soon as the call returns."""
-        built = []
 
-        class Recorded(load.SimNetwork):
-            def __init__(self, *args, **kw):
-                super().__init__(*args, **kw)
-                built.append(weakref.ref(self))
+        def run():
+            assert self.run_point(0.05, scheme=scheme).issued > 0
 
-        monkeypatch.setattr(load, "SimNetwork", Recorded)
-        was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            p = self.run_point(0.05, scheme=scheme)
-            assert p.issued > 0
-            assert len(built) == 1 and built[0]() is None
-        finally:
-            if was_enabled:
-                gc.enable()
+        assert _freed_by_refcount(monkeypatch, load, run)
+
+    @pytest.mark.parametrize("scheme", ["binomial", "tree", "path"])
+    def test_saturated_network_freed_by_refcount(self, scheme, monkeypatch):
+        """A saturated point stops at its drain horizon with work queued;
+        that work is abandoned, so it cannot hold the network in a cycle."""
+
+        def run():
+            p = run_load_experiment(
+                topo_default(), SimParams(), scheme, degree=16,
+                effective_load=2.0, duration=8_000, warmup=800, seed=3,
+            )
+            assert p.completed < p.issued
+
+        assert _freed_by_refcount(monkeypatch, load, run)
 
     def test_sweep_returns_point_per_load(self):
         pts = sweep_load(
