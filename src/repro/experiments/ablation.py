@@ -15,8 +15,8 @@ from repro.experiments.base import (
     single_multicast_sweep,
 )
 from repro.experiments.config import Profile
+from repro.experiments.runner import Cell, execute_cells
 from repro.params import SimParams
-from repro.traffic.single import average_single_multicast_latency
 
 BUFFER_SIZES = (8, 64, 256)
 
@@ -104,97 +104,99 @@ def run_tree_orientation(profile: Profile, base: SimParams | None = None) -> Exp
     )
 
 
-def run_path_strategy(profile: Profile, base: SimParams | None = None) -> ExperimentResult:
-    """MDP-LG vs plain greedy path-worm selection."""
-    base = base or SimParams()
-    series = []
-    for label, strategy in (("lg", "lg"), ("greedy", "greedy")):
-        ys = []
-        sizes = [s for s in profile.group_sizes if s < base.num_nodes]
-        for size in sizes:
-            summ = average_single_multicast_latency(
-                base,
-                "path",
-                size,
-                n_topologies=profile.n_topologies,
-                trials_per_topology=profile.trials_per_topology,
-                seed=profile.seed,
-                strategy=strategy,
-            )
-            ys.append(summ.mean)
-        series.append(
-            Series(label=f"path/{label}", x=[float(s) for s in sizes], y=ys)
+def _scheme_variant_sweep(
+    exp_id: str,
+    title: str,
+    profile: Profile,
+    base: SimParams,
+    scheme: str,
+    variants: tuple[tuple[str, dict], ...],
+) -> ExperimentResult:
+    """Latency vs set size for one scheme, one curve per keyword variant.
+
+    Each ``(label, scheme keywords)`` variant becomes a row of ``single``
+    cells.  Every cell is seeded with the flat ``profile.seed`` rather than
+    :func:`~repro.experiments.runner.derive_seed`, so all variants replay
+    the same topologies and draws and the published numbers stand.
+    """
+    sizes = [s for s in profile.group_sizes if s < base.num_nodes]
+    knobs = (
+        ("n_topologies", profile.n_topologies),
+        ("trials_per_topology", profile.trials_per_topology),
+    )
+    cells = [
+        Cell(
+            kind="single",
+            exp_id=exp_id,
+            params=base,
+            scheme=scheme,
+            coords=(("variant", label), ("size", size)),
+            knobs=knobs,
+            seed=profile.seed,
+            scheme_kw=tuple(kw.items()),
         )
+        for label, kw in variants
+        for size in sizes
+    ]
+    values = iter(execute_cells(cells))
+    series = [
+        Series(
+            label=f"{scheme}/{label}",
+            x=[float(s) for s in sizes],
+            y=[next(values)["mean"] for _ in sizes],
+        )
+        for label, _kw in variants
+    ]
     return ExperimentResult(
-        exp_id="ablation-pathstrategy",
-        title="MDP-LG vs greedy path-worm selection",
+        exp_id=exp_id,
+        title=title,
         x_label="multicast set size",
         y_label="single multicast latency (cycles)",
         series=series,
+    )
+
+
+def run_path_strategy(profile: Profile, base: SimParams | None = None) -> ExperimentResult:
+    """MDP-LG vs plain greedy path-worm selection."""
+    return _scheme_variant_sweep(
+        "ablation-pathstrategy",
+        "MDP-LG vs greedy path-worm selection",
+        profile,
+        base or SimParams(),
+        "path",
+        (("lg", {"strategy": "lg"}), ("greedy", {"strategy": "greedy"})),
     )
 
 
 def run_header_capacity(profile: Profile, base: SimParams | None = None) -> ExperimentResult:
     """Header-capacity-limited tree worms (Section 3.3 cost concern)."""
-    base = base or SimParams()
-    series = []
-    sizes = [s for s in profile.group_sizes if s < base.num_nodes]
-    for label, cap in (("unlimited", None), ("cap=8", 8), ("cap=4", 4)):
-        ys = []
-        for size in sizes:
-            summ = average_single_multicast_latency(
-                base,
-                "tree",
-                size,
-                n_topologies=profile.n_topologies,
-                trials_per_topology=profile.trials_per_topology,
-                seed=profile.seed,
-                max_header_dests=cap,
-            )
-            ys.append(summ.mean)
-        series.append(
-            Series(label=f"tree/{label}", x=[float(s) for s in sizes], y=ys)
-        )
-    return ExperimentResult(
-        exp_id="ablation-header",
-        title="Tree-worm header capacity: unlimited vs chunked headers",
-        x_label="multicast set size",
-        y_label="single multicast latency (cycles)",
-        series=series,
+    return _scheme_variant_sweep(
+        "ablation-header",
+        "Tree-worm header capacity: unlimited vs chunked headers",
+        profile,
+        base or SimParams(),
+        "tree",
+        (
+            ("unlimited", {"max_header_dests": None}),
+            ("cap=8", {"max_header_dests": 8}),
+            ("cap=4", {"max_header_dests": 4}),
+        ),
     )
 
 
 def run_fixed_k(profile: Profile, base: SimParams | None = None) -> ExperimentResult:
     """Forcing the k-binomial fan-out vs the analytic auto-selection."""
-    base = base or SimParams()
-    series = []
-    sizes = [s for s in profile.group_sizes if s < base.num_nodes]
-    for label, kw in (
-        ("auto", {}),
-        ("k=1", {"fixed_k": 1}),
-        ("k=2", {"fixed_k": 2}),
-        ("k=4", {"fixed_k": 4}),
-        ("k=8", {"fixed_k": 8}),
-    ):
-        ys = []
-        for size in sizes:
-            summ = average_single_multicast_latency(
-                base,
-                "ni",
-                size,
-                n_topologies=profile.n_topologies,
-                trials_per_topology=profile.trials_per_topology,
-                seed=profile.seed,
-                **kw,
-            )
-            ys.append(summ.mean)
-        series.append(
-            Series(label=f"ni/{label}", x=[float(s) for s in sizes], y=ys)
-        )
-    return ExperimentResult(
-        exp_id="ablation-fixedk",
-        title="k-binomial fan-out: auto-selected vs fixed k",
-        x_label="multicast set size",
-        y_label="single multicast latency (cycles)",
-        series=series,
+    return _scheme_variant_sweep(
+        "ablation-fixedk",
+        "k-binomial fan-out: auto-selected vs fixed k",
+        profile,
+        base or SimParams(),
+        "ni",
+        (
+            ("auto", {}),
+            ("k=1", {"fixed_k": 1}),
+            ("k=2", {"fixed_k": 2}),
+            ("k=4", {"fixed_k": 4}),
+            ("k=8", {"fixed_k": 8}),
+        ),
     )

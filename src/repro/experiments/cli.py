@@ -13,10 +13,9 @@ Examples::
 ``--cache-dir DIR`` caches each cell's value, keyed by the cell and a
 fingerprint of the code, so runs are resumable (crash mid-``run all``,
 rerun the same command, and only missing cells execute) and any code edit
-invalidates the cache.  Experiments without cells run again every time.
-The ``REPRO_CACHE_DIR`` environment variable provides the default cache
-directory; ``--no-cache`` forces caching off.  Output is byte-identical
-across jobs counts and cache states.
+invalidates the cache.  The ``REPRO_CACHE_DIR`` environment variable
+provides the default cache directory; ``--no-cache`` forces caching off.
+Output is byte-identical across jobs counts and cache states.
 """
 
 from __future__ import annotations
@@ -33,6 +32,19 @@ from repro.experiments.registry import (
     PAPER_FIGURES,
     run_experiment_with_stats,
 )
+
+
+def _jobs(text: str) -> int:
+    """``--jobs`` value: a worker count of at least 1, else a usage error."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}"
+        )
+    return jobs
 
 
 def _cmd_list() -> int:
@@ -65,14 +77,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             cache_dir=cache_dir,
         )
         print(result.to_table())
-        if stats.cells_total:
-            detail = (
-                f"cells: {stats.cells_executed} run, "
-                f"{stats.cells_cached} cached"
-            )
-        else:
-            detail = "no cell decomposition"
-        print(f"[{exp_id} took {time.perf_counter() - t0:.1f}s; {detail}]\n")
+        print(
+            f"[{exp_id} took {time.perf_counter() - t0:.1f}s; cells: "
+            f"{stats.cells_executed} run, {stats.cells_cached} cached]\n"
+        )
         if args.json:
             from repro.experiments.io import save_result_json
 
@@ -244,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("--csv", metavar="DIR", help="also write <DIR>/<exp>.csv")
     runp.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=1,
         metavar="N",
         help="worker processes for independent simulation cells (default: 1)",

@@ -4,9 +4,9 @@
 policy: ``jobs`` fans the experiment's cells out over worker processes and
 ``cache_dir`` roots the :class:`repro.experiments.runner.CellCache`, one
 content-addressed entry per cell keyed by the cell descriptor and a
-fingerprint of the code.  A warm re-run serves every cell from it and makes
-an interrupted run resumable at simulation-call granularity; experiments
-without a cell decomposition simply run again.
+fingerprint of the code.  Every experiment is a list of cells, so a warm
+re-run serves all of it from the cache and an interrupted run resumes at
+simulation-call granularity.
 
 Results are byte-identical across jobs counts and cache states: cells are
 independently seeded and merged canonically, and cached JSON round-trips
@@ -89,7 +89,7 @@ def run_experiment_with_stats(
 ) -> tuple[ExperimentResult, ExecutionStats]:
     """Run one experiment and report what was executed vs cache-served.
 
-    ``jobs`` sets the worker-process count for cell-decomposed experiments;
+    ``jobs`` sets the worker-process count for the experiment's cells;
     ``cache_dir`` (None disables caching) roots the cell cache.
     """
     profile = _resolve_profile(profile)

@@ -96,8 +96,10 @@ class Cell:
     """
 
     kind: str
-    """Cell family: ``"single"`` (isolated-multicast latency average) or
-    ``"load"`` (one open-loop load point)."""
+    """Cell family, one branch of :func:`run_cell` each: ``"single"``
+    (isolated-multicast latency average), ``"load"`` (one open-loop load
+    point), ``"workload"``, ``"churn"``, and the ``extra-*`` studies'
+    ``"background"``, ``"fault"`` and ``"regular"``."""
 
     exp_id: str
     params: SimParams
@@ -230,6 +232,37 @@ def run_cell(cell: Cell) -> dict:
         value = report.to_value()
         value["digest"] = report.digest()
         return value
+    if cell.kind == "background":
+        from repro.experiments.extra_omitted import background_point
+
+        # One foreground multicast amid unicast background load.
+        return background_point(
+            cell.params,
+            cell.scheme,
+            float(cell.coord("load")),
+            warmup=int(cell.knob("warmup")),
+            seed=cell.seed,
+        )
+    if cell.kind == "fault":
+        from repro.experiments.extra_omitted import fault_point
+
+        # One isolated multicast after k links fail and routing is rebuilt.
+        return fault_point(
+            cell.params, cell.scheme, int(cell.coord("failures")), seed=cell.seed
+        )
+    if cell.kind == "regular":
+        from repro.experiments.extra_omitted import regular_point
+
+        # Mean isolated-multicast latency on one named regular or
+        # irregular substrate.
+        return regular_point(
+            cell.params,
+            cell.scheme,
+            str(cell.coord("topology")),
+            int(cell.coord("size")),
+            trials=int(cell.knob("trials")),
+            seed=cell.seed,
+        )
     raise ValueError(f"unknown cell kind {cell.kind!r}")
 
 
@@ -285,10 +318,6 @@ class ExecutionStats:
 
     cells_executed: int = 0
     cells_cached: int = 0
-
-    @property
-    def cells_total(self) -> int:
-        return self.cells_executed + self.cells_cached
 
 
 @dataclass

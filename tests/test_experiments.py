@@ -274,6 +274,15 @@ class TestCli:
         assert "fpfs/ni" in out
         assert "cells:" in out  # execution summary line
 
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_bad_jobs_is_a_usage_error(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "ablation-fpfs", "--jobs", jobs])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --jobs: expected an integer >= 1, got {jobs!r}" in err
+        assert "Traceback" not in err
+
     def test_run_with_jobs_and_cache(self, tmp_path, capsys):
         argv = [
             "run", "ablation-fpfs",

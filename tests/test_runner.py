@@ -271,6 +271,37 @@ class TestExperimentLevelCache:
         assert stats.cells_executed > 0
 
 
+class TestEveryExperimentIsCells:
+    """The studies that once ran as plain loops now run as cells: they
+    honour ``--jobs``, fill the cache, and a warm run executes nothing."""
+
+    @pytest.mark.parametrize(
+        "exp_id",
+        [
+            "extra-background",
+            "extra-patterns",
+            "extra-faults",
+            "extra-regular",
+            "ablation-pathstrategy",
+            "ablation-header",
+            "ablation-fixedk",
+        ],
+    )
+    def test_cold_warm_and_serial_agree(self, exp_id, tmp_path):
+        result, cold = run_experiment_with_stats(
+            exp_id, MICRO, jobs=2, cache_dir=tmp_path
+        )
+        assert cold.cells_executed > 0
+        warm_result, warm = run_experiment_with_stats(
+            exp_id, MICRO, jobs=2, cache_dir=tmp_path
+        )
+        assert warm.cells_executed == 0
+        assert warm.cells_cached == cold.cells_executed
+        assert result_bytes(warm_result) == result_bytes(result)
+        serial, _stats = run_experiment_with_stats(exp_id, MICRO, jobs=1)
+        assert result_bytes(serial) == result_bytes(result)
+
+
 class TestCacheKeyedByCode:
     """The cache key covers the code: after a model edit, a warm run
     re-executes and reproduces a fresh run of the edited code."""
