@@ -49,7 +49,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.multicast.base import MulticastResult, MulticastScheme
-from repro.routing.paths import is_legal_path, minimal_paths, path_switches
+from repro.routing.paths import (
+    is_legal_path,
+    path_switches,
+    walk_minimal_paths,
+)
 from repro.routing.updown import UpDownRouting
 from repro.sim.messaging import HostReceiver, host_send
 from repro.sim.network import SimNetwork
@@ -65,9 +69,9 @@ class PathWormPlan:
     switch_path: tuple[int, ...]
     links: tuple[SwitchLink, ...]
     drops: tuple[tuple[int, ...], ...]
-    """``drops[i]`` = nodes dropped at ``switch_path[i]`` (a path may cross
-    the same switch twice -- once climbing, once descending -- so drops are
-    keyed by path position, not by switch)."""
+    """``drops[i]`` = nodes dropped at ``switch_path[i]``.  A minimal legal
+    path never crosses a switch twice, so each position is a distinct
+    switch."""
 
     @property
     def covered(self) -> frozenset[int]:
@@ -133,25 +137,35 @@ def best_single_worm(
     for d in sorted(remaining):
         dest_by_switch.setdefault(topo.switch_of_node(d), []).append(d)
 
+    # Each candidate's coverage is summed along the walk: a switch's weight
+    # is its count of uncovered destinations, and a minimal path crosses
+    # each switch once.  Within one anchor every candidate has the same
+    # length and distance, so the anchor's candidate is its first path of
+    # strictly highest coverage; only that path is copied.
+    weight = [0] * topo.num_switches
+    for s, nodes in dest_by_switch.items():
+        weight[s] = len(nodes)
+    coverage, links = -1, None
+
+    def keep_first_best(path: list[SwitchLink], path_coverage: int) -> None:
+        nonlocal coverage, links
+        if path_coverage > coverage:
+            coverage, links = path_coverage, list(path)
+
     best_key: tuple | None = None
     best_path: list[SwitchLink] | None = None
     for anchor_switch in sorted(dest_by_switch):
-        for links in minimal_paths(
-            rt, start, anchor_switch, MAX_PATHS_PER_DEST
-        ):
-            switches = path_switches(start, links)
-            coverage = sum(
-                len(dest_by_switch.get(s, ()))
-                for s in dict.fromkeys(switches)
-            )
-            far = rt.distance(start, anchor_switch)
-            if strategy == "lg":
-                key = (coverage, far, -len(links))
-            else:
-                key = (coverage, -len(links), far)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_path = links
+        coverage, links = -1, None
+        walk_minimal_paths(rt, start, anchor_switch, MAX_PATHS_PER_DEST,
+                           keep_first_best, weight)
+        far = rt.distance(start, anchor_switch)
+        if strategy == "lg":
+            key = (coverage, far, -len(links))
+        else:
+            key = (coverage, -len(links), far)
+        if best_key is None or key > best_key:
+            best_key = key
+            best_path = links
     assert best_path is not None and best_key is not None
     full = path_switches(start, best_path)
 

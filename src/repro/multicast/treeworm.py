@@ -30,6 +30,7 @@ from typing import Callable
 
 from repro.multicast.base import MulticastResult, MulticastScheme
 from repro.routing.updown import UpDownRouting
+from repro.sim.fabric import LazyMap
 from repro.sim.messaging import HostReceiver, host_send, host_send_multiworm
 from repro.sim.network import SimNetwork
 from repro.sim.worm import Deliver, Forward
@@ -46,22 +47,30 @@ class TreeWormPlan:
     """Switch sequence from the source switch to the turn switch, inclusive."""
 
 
-def _down_distance_table(net: SimNetwork) -> dict[int, dict[int, int]]:
-    """dist[s][t] = minimum number of down traversals from s to t."""
-    topo, rt = net.topo, net.routing
-    dist: dict[int, dict[int, int]] = {}
-    for s in range(topo.num_switches):
+def _down_distance_table(net: SimNetwork) -> LazyMap:
+    """dist[s][t] = minimum number of down traversals from s to t.
+
+    Each source switch's down BFS runs on its first lookup, so a worm pays
+    only for the switches it crosses; index it as ``dist[s].get(t)``.
+    """
+    rt, num_switches = net.routing, net.topo.num_switches
+
+    def down_bfs(s: int) -> dict[int, int]:
+        if not 0 <= s < num_switches:
+            raise KeyError(s)
         d = {s: 0}
         frontier = deque([s])
         while frontier:
             u = frontier.popleft()
+            du = d[u] + 1
             for lk in rt.down_links_of(u):
-                v = lk.other_end(u).switch
+                v = lk.b.switch if lk.a.switch == u else lk.a.switch
                 if v not in d:
-                    d[v] = d[u] + 1
+                    d[v] = du
                     frontier.append(v)
-        dist[s] = d
-    return dist
+        return d
+
+    return LazyMap(down_bfs)
 
 
 def down_port_assignment(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.topology.graph import NetworkTopology, SwitchLink
+from repro.topology.graph import NetworkTopology
 
 
 @dataclass(frozen=True)
@@ -58,16 +58,17 @@ def build_bfs_tree(topo: NetworkTopology, root: int = 0) -> BfsTree:
     q: deque[int] = deque([root])
     while q:
         s = q.popleft()
-        # Deterministic order: neighbours ascending, lowest link id first.
-        outgoing: list[tuple[int, SwitchLink]] = sorted(
-            ((lk.other_end(s).switch, lk) for lk in topo.links_of(s)),
-            key=lambda t: (t[0], t[1].link_id),
+        # Deterministic order: neighbours ascending, lowest link id first
+        # (link ids are unique, so the sort never compares further).
+        outgoing: list[tuple[int, int]] = sorted(
+            (lk.b.switch if lk.a.switch == s else lk.a.switch, lk.link_id)
+            for lk in topo.links_of(s)
         )
-        for nb, lk in outgoing:
+        for nb, link_id in outgoing:
             if level[nb] == -1:
                 level[nb] = level[s] + 1
                 parent[nb] = s
-                parent_link[nb] = lk.link_id
+                parent_link[nb] = link_id
                 q.append(nb)
     if any(lv == -1 for lv in level):
         raise ValueError("switch graph is disconnected")

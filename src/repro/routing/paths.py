@@ -8,6 +8,8 @@ here.
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 from repro.routing.updown import Phase, UpDownRouting
 from repro.topology.graph import SwitchLink
 
@@ -38,8 +40,36 @@ def minimal_paths(
     """The first ``cap`` minimal legal paths, in depth-first ``next_hops``
     order; the walk stops as soon as it has ``cap`` of them."""
     results: list[list[SwitchLink]] = []
-    _walk(rt, dst_switch, src_switch, Phase.UP, [], results, cap)
+    walk_minimal_paths(
+        rt, src_switch, dst_switch, cap,
+        lambda links, _score: results.append(list(links)),
+    )
     return results
+
+
+def walk_minimal_paths(
+    rt: UpDownRouting,
+    src_switch: int,
+    dst_switch: int,
+    cap: int,
+    visit: Callable[[list[SwitchLink], int], object],
+    weight: Sequence[int] | None = None,
+) -> None:
+    """Visit the first ``cap`` minimal legal paths, in depth-first
+    ``next_hops`` order.
+
+    ``visit(links, score)`` gets each path as the walker's own link list,
+    which it must copy to keep, and the sum of ``weight[s]`` over the
+    switches ``s`` the path crosses, the start included (0 without a
+    weight).  A minimal path never crosses a switch twice, so the score
+    counts each switch once: a switch's earlier state is UP or the same as
+    its later one, so it has every move the later one has, and cutting the
+    loop between them would leave a shorter legal path.
+    """
+    if weight is None:
+        weight = [0] * rt.topo.num_switches
+    _walk(rt, dst_switch, src_switch, Phase.UP, [], weight[src_switch],
+          weight, visit, cap)
 
 
 def _walk(
@@ -48,27 +78,30 @@ def _walk(
     here: int,
     phase: Phase,
     acc: list[SwitchLink],
-    results: list[list[SwitchLink]],
-    cap: int,
-) -> bool:
-    """Depth-first step of :func:`minimal_paths`; False once it has ``cap``.
+    score: int,
+    weight: Sequence[int],
+    visit: Callable[[list[SwitchLink], int], object],
+    budget: int,
+) -> int:
+    """Depth-first step of :func:`walk_minimal_paths`: returns the paths
+    still to visit, at most 0 once the walk must stop.
 
     A module-level function rather than a recursive closure, which would be
     a reference cycle holding the routing tables until the cycle collector
     runs.
     """
     if here == dst_switch:
-        results.append(list(acc))
-        return len(results) < cap
+        visit(acc, score)
+        return budget - 1
     for hop in rt.next_hops(here, phase, dst_switch):
         acc.append(hop.link)
-        keep_going = _walk(
-            rt, dst_switch, hop.to_switch, hop.next_phase, acc, results, cap
-        )
+        t = hop.to_switch
+        budget = _walk(rt, dst_switch, t, hop.next_phase, acc,
+                       score + weight[t], weight, visit, budget)
         acc.pop()
-        if not keep_going:
-            return False
-    return True
+        if budget <= 0:
+            break
+    return budget
 
 
 def all_minimal_paths(

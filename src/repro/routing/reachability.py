@@ -8,7 +8,9 @@ intersects the worm's destination header.
 
 Because the down-directed links form a DAG, reachability is a straightforward
 memoised union; we expose it both as Python sets (for algorithms) and as bit
-masks (mirroring the paper's bit-string encoding).
+masks (mirroring the paper's bit-string encoding).  Only the tree scheme and
+the invariant checkers read the strings, so a table computes nothing until
+its first query, which fills it for every switch at once.
 """
 
 from __future__ import annotations
@@ -25,34 +27,49 @@ class ReachabilityTable:
     """Down-reachability of nodes from switches and through down ports."""
 
     routing: UpDownRouting
-    _switch_reach: dict[int, frozenset[int]] = field(default_factory=dict, repr=False)
+    _switch_reach: dict[int, frozenset[int]] | None = field(
+        default=None, repr=False
+    )
+    """Per switch, once any query has run: its down-reachable nodes."""
 
     @classmethod
     def build(cls, routing: UpDownRouting) -> "ReachabilityTable":
-        """Compute down-reachable node sets for every switch."""
-        table = cls(routing=routing)
-        topo = routing.topo
-        # Iterate switches from the deepest BFS level upward so every
-        # down-neighbour is already resolved (the down graph follows BFS
-        # levels except for same-level links, which are oriented by id --
-        # handle both with memoised recursion instead of a level sweep).
-        for s in range(topo.num_switches):
-            table._reach(s)
+        """A table over ``routing``; the sets are computed on first query."""
+        return cls(routing=routing)
+
+    def _table(self) -> dict[int, frozenset[int]]:
+        """The whole table, filled on first use in switch order 0..S-1.
+
+        The whole table at once, never switch by switch: on a corrupt
+        orientation whose down links form a cycle, :meth:`_reach` truncates
+        a set depending on which switch the recursion entered the cycle
+        from, so only a fixed fill order keeps answers independent of the
+        order of queries.
+        """
+        table = self._switch_reach
+        if table is None:
+            table = self._switch_reach = {}
+            for s in range(self.routing.topo.num_switches):
+                self._reach(s)
         return table
 
     def _reach(self, switch: int) -> frozenset[int]:
-        cached = self._switch_reach.get(switch)
+        table = self._switch_reach
+        cached = table.get(switch)
         if cached is not None:
             return cached
         topo = self.routing.topo
         acc: set[int] = set(topo.nodes_on_switch(switch))
-        # Mark before recursing: the down graph is acyclic, so this is only a
-        # guard against topology bugs, surfaced as a missing-entry KeyError.
-        self._switch_reach[switch] = frozenset()
+        # Mark before recursing.  On a legal orientation the down graph is
+        # acyclic and the mark is never read; on a corrupt one a cycle
+        # reads it and yields a truncated set instead of recursing forever,
+        # and :func:`~repro.routing.invariants.reachability_problems` is
+        # what reports the missing nodes.
+        table[switch] = frozenset()
         for lk in self.routing.down_links_of(switch):
             acc |= self._reach(lk.other_end(switch).switch)
         result = frozenset(acc)
-        self._switch_reach[switch] = result
+        table[switch] = result
         return result
 
     # ------------------------------------------------------------------
@@ -63,7 +80,7 @@ class ReachabilityTable:
 
         Includes the nodes attached to ``switch`` itself.
         """
-        return self._switch_reach[switch]
+        return self._table()[switch]
 
     def port_reach(self, switch: int, link: SwitchLink) -> frozenset[int]:
         """Reachability set of the down output port of ``switch`` on ``link``.
@@ -81,7 +98,7 @@ class ReachabilityTable:
 
     def covers(self, switch: int, dests: frozenset[int] | set[int]) -> bool:
         """True when every destination is down-reachable from ``switch``."""
-        return set(dests) <= self._switch_reach[switch]
+        return set(dests) <= self._table()[switch]
 
     # ------------------------------------------------------------------
     # Bit-string encodings (the hardware view)

@@ -10,10 +10,11 @@ rule is deadlock-free.
 This module answers, for any (switch, routing phase, destination switch)
 triple, which next hops lie on a *minimal* legal route, which is what both
 the adaptive and the deterministic routing policies consult.  Only the
-destination-independent part (the orientation and the (switch, phase)
-state graph) is built up front; the first query per destination runs one
-backward BFS over that graph, so a network computes only the routes its
-traffic asks for.
+orientation, the per-switch up/down link lists and the int-only reverse
+(switch, phase) state graph are built up front.  The first query per
+destination runs one backward BFS over that graph, and a state's legal
+moves are built on the first next-hop lookup that needs them, so a network
+computes only the routes its traffic asks for.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class UpDownRouting:
     Build one per topology via :meth:`build`.  The first query per
     destination runs one BFS over the (switch, phase) state graph; later
     queries for that destination are list lookups.  States are flat ints,
-    ``2 * switch + phase.value``.
+    ``2 * switch + phase.value``.  A state's (hop, next state) moves are
+    built on its first next-hop lookup and shared by every destination.
     """
 
     topo: NetworkTopology
@@ -66,10 +68,11 @@ class UpDownRouting:
     _down_links: list[tuple[SwitchLink, ...]] = field(
         default_factory=list, repr=False
     )
-    _moves: list[tuple[tuple[Hop, int], ...]] = field(
+    _moves: list[tuple[tuple[Hop, int], ...] | None] = field(
         default_factory=list, repr=False
     )
-    """Per state: the legal (hop, next state) moves, in link order."""
+    """Per state, once looked up: the legal (hop, next state) moves, in
+    link order."""
     _rev: list[list[int]] = field(default_factory=list, repr=False)
     """Per state: the states with a legal move into it."""
     _dist: list[list[int] | None] = field(default_factory=list, repr=False)
@@ -146,38 +149,52 @@ class UpDownRouting:
     # Minimal-route tables
     # ------------------------------------------------------------------
     def _compute_tables(self) -> None:
-        """Build the destination-independent state graph from ``_up_end``.
+        """Build the per-switch link lists and reverse state graph from
+        ``_up_end``.
 
         Call again after editing ``_up_end``: it rebuilds the per-switch
-        up/down link lists and the moves, and drops every per-destination
-        table.
+        up/down link lists and the reverse graph, and drops every cached
+        move and per-destination table.
         """
         S = self.topo.num_switches
         up_links: list[list[SwitchLink]] = [[] for _ in range(S)]
         down_links: list[list[SwitchLink]] = [[] for _ in range(S)]
-        moves: list[list[tuple[Hop, int]]] = [[] for _ in range(2 * S)]
+        rev: list[list[int]] = [[] for _ in range(2 * S)]
         up_end = self._up_end
         for s in range(S):
             for lk in self.topo.links_of(s):
-                t = lk.other_end(s).switch
+                t = lk.b.switch if lk.a.switch == s else lk.a.switch
                 if up_end[lk.link_id] != s:  # crossing goes up
                     up_links[s].append(lk)
-                    moves[2 * s].append((Hop(lk, t, Phase.UP), 2 * t))
+                    rev[2 * t].append(2 * s)
                 else:
                     down_links[s].append(lk)
-                    hop = Hop(lk, t, Phase.DOWN)
-                    moves[2 * s].append((hop, 2 * t + 1))
-                    moves[2 * s + 1].append((hop, 2 * t + 1))
-        rev: list[list[int]] = [[] for _ in range(2 * S)]
-        for i, state_moves in enumerate(moves):
-            for _, j in state_moves:
-                rev[j].append(i)
+                    rev[2 * t + 1] += (2 * s, 2 * s + 1)
         self._up_links = [tuple(links) for links in up_links]
         self._down_links = [tuple(links) for links in down_links]
-        self._moves = [tuple(m) for m in moves]
+        self._moves = [None] * (2 * S)
         self._rev = rev
         self._dist = [None] * S
         self._hops = [None] * S
+
+    def _state_moves(self, i: int) -> tuple[tuple[Hop, int], ...]:
+        """State ``i``'s legal (hop, next state) moves, in link order."""
+        s = i >> 1
+        moves: list[tuple[Hop, int]] = []
+        if i & 1:  # DOWN: down links only
+            for lk in self._down_links[s]:
+                t = lk.b.switch if lk.a.switch == s else lk.a.switch
+                moves.append((Hop(lk, t, _DOWN), 2 * t + 1))
+        else:
+            up_end = self._up_end
+            for lk in self.topo.links_of(s):
+                t = lk.b.switch if lk.a.switch == s else lk.a.switch
+                if up_end[lk.link_id] != s:
+                    moves.append((Hop(lk, t, Phase.UP), 2 * t))
+                else:
+                    moves.append((Hop(lk, t, _DOWN), 2 * t + 1))
+        found = self._moves[i] = tuple(moves)
+        return found
 
     def _solve(self, dest: int) -> list[int]:
         """Backward BFS from ``dest``'s two states: hop count per state."""
@@ -236,10 +253,14 @@ class UpDownRouting:
             dist = self._dist[dest]
             if dist[i] < 0:
                 raise KeyError((switch, phase))
-            want = dist[i] - 1
-            found = () if switch == dest else tuple(
-                hop for hop, j in self._moves[i] if dist[j] == want
-            )
+            if switch == dest:
+                found = ()
+            else:
+                moves = self._moves[i]
+                if moves is None:
+                    moves = self._state_moves(i)
+                want = dist[i] - 1
+                found = tuple(hop for hop, j in moves if dist[j] == want)
             hops[i] = found
         return found
 

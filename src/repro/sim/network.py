@@ -59,8 +59,10 @@ def _host_builder(net: "SimNetwork") -> Callable[[int], Host]:
 class SimNetwork:
     """One simulated irregular-network system instance.
 
-    Construction builds the up*/down* state graph and reachability once
-    (routes toward a destination are solved on its first query); many
+    Construction orients the links and builds the reverse up*/down* state
+    graph; everything else is built on first use (routes toward a
+    destination, a state's moves, the reachability strings, channels and
+    hosts), so a run pays only for what its traffic reads.  Many
     messages/experiments can then run on the same instance.  Instances are
     single-engine: do not share across concurrently running engines.
     """
@@ -185,13 +187,13 @@ class SimNetwork:
     def reconfigure(self, topo: NetworkTopology) -> None:
         """Autonet-style reconfiguration onto a degraded topology.
 
-        Recomputes the BFS/up*/down* orientation and the reachability
-        strings on ``topo`` and bumps :attr:`routing_epoch`, invalidating
-        every cached multicast plan.  The fabric keeps its existing
-        channels (link ids are preserved by
-        :func:`repro.topology.faults.remove_link`), so in-flight worms keep
-        draining on the tables they launched under while new sends plan on
-        the fresh ones.
+        Recomputes the BFS/up*/down* orientation on ``topo`` (the
+        reachability strings follow on their first query) and bumps
+        :attr:`routing_epoch`, invalidating every cached multicast
+        plan.  The fabric keeps its existing channels (link ids are
+        preserved by :func:`repro.topology.faults.remove_link`), so
+        in-flight worms keep draining on the tables they launched under
+        while new sends plan on the fresh ones.
         """
         self.topo = topo
         self.routing = UpDownRouting.build(
