@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from repro.multicast.treeworm import TreeWormPlan, _down_distance_table
+from repro.multicast.treeworm import TreeWormPlan
 from repro.params import SimParams
 from repro.sim.network import SimNetwork
 
@@ -76,9 +76,8 @@ def tree_worm_dest_hops(
     dest_switch = net.topo.switch_of_node(dest)
     if dest_switch in plan.up_switch_path:
         return plan.up_switch_path.index(dest_switch)
-    down = _down_distance_table(net)
     up_hops = len(plan.up_switch_path) - 1
-    dd = down[plan.turn_switch].get(dest_switch)
+    dd = net.routing.down_distances(plan.turn_switch).get(dest_switch)
     if dd is None:
         raise ValueError(f"turn switch cannot reach destination {dest}")
     return up_hops + dd

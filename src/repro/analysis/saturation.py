@@ -22,7 +22,7 @@ from repro.multicast import make_scheme
 from repro.multicast.binomial import UnicastBinomialScheme
 from repro.multicast.kbinomial import NIKBinomialScheme
 from repro.multicast.pathworm import PathWormScheme
-from repro.multicast.treeworm import TreeWormScheme, _down_distance_table
+from repro.multicast.treeworm import TreeWormScheme
 from repro.sim.network import SimNetwork
 
 
@@ -109,12 +109,12 @@ def _scheme_demand(
         from repro.multicast.treeworm import plan_tree_worm
 
         plan = plan_tree_worm(net, net.topo.switch_of_node(source), dests)
-        down = _down_distance_table(net)
+        down = net.routing.down_distances(plan.turn_switch)
         covered_switches = {
             net.topo.switch_of_node(dst) for dst in dests
         }
         down_edges = sum(
-            down[plan.turn_switch].get(s, 0) for s in covered_switches
+            down.get(s, 0) for s in covered_switches
         )
         demand["links"] += F * (len(plan.up_switch_path) - 1 + down_edges)
     else:  # pragma: no cover

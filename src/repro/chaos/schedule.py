@@ -9,6 +9,7 @@ trivially serializable for the fuzz corpus.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -24,8 +25,10 @@ class FaultEvent:
     link_id: int
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("fault time must be non-negative")
+        if not 0 <= self.time < math.inf:
+            raise ValueError(
+                f"fault time must be finite and non-negative, got {self.time}"
+            )
         if self.link_id < 0:
             raise ValueError("link_id must be non-negative")
 

@@ -52,11 +52,7 @@ from repro.groups.tables import SwitchMulticastTables
 from repro.multicast import make_scheme
 from repro.multicast.base import MulticastResult, MulticastScheme
 from repro.multicast.pathworm import PathWormScheme, verify_plan
-from repro.multicast.treeworm import (
-    TreeWormScheme,
-    _down_distance_table,
-    plan_tree_worm,
-)
+from repro.multicast.treeworm import TreeWormScheme, plan_tree_worm
 from repro.sim.network import SimNetwork
 
 DEFAULT_QUALITY_BOUND = 1.5
@@ -323,20 +319,16 @@ class MulticastGroup:
         """Per-chunk tree plans, with cost summed and footprint unioned.
 
         The same chunks and worms :meth:`TreeWormScheme.execute` plans at
-        send time; the down-distance table is shared with it through the
-        scheme cache (same key, same table).
+        send time, on the same per-epoch down distances of the routing.
         """
         net = self.net
-        down_dist = self.scheme._cached_plan(
-            net, ("downdist",), lambda: _down_distance_table(net)
-        )
         source_switch = net.topo.switch_of_node(self.root)
         plans = []
         cost = 0
         switches: set[int] = set()
         for chunk in self.scheme.chunk_dests(net, self.root, dests):
             plan = plan_tree_worm(net, source_switch, chunk)
-            c, footprint = tree_cost_footprint(net, down_dist, plan, chunk)
+            c, footprint = tree_cost_footprint(net, plan, chunk)
             plans.append(plan)
             cost += c
             switches.update(footprint)

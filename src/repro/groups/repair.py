@@ -50,7 +50,6 @@ def path_footprint(plan: MulticastPathPlan) -> tuple[int, ...]:
 
 def tree_cost_footprint(
     net: SimNetwork,
-    down_dist: dict[int, dict[int, int]],
     plan: TreeWormPlan,
     dests: list[int],
 ) -> tuple[int, tuple[int, ...]]:
@@ -82,9 +81,7 @@ def tree_cost_footprint(
         sw, rem = stack.pop()
         switches.add(sw)
         rem = rem - frozenset(topo.nodes_on_switch(sw))
-        for lk, subset in down_port_assignment(
-            topo, net.routing, down_dist, sw, rem
-        ):
+        for lk, subset in down_port_assignment(topo, net.routing, sw, rem):
             edges += 1
             stack.append((lk.other_end(sw).switch, subset))
     return 1 + edges, tuple(sorted(switches))

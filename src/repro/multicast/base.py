@@ -129,14 +129,13 @@ class MulticastScheme(abc.ABC):
         ``(tag, source, ...)`` with any further tuple components drawn from
         the destination set (``("mdp", src, dests)``, ``("tree", src,
         dests)``, ``("worm", src, chunk)`` with ``chunk`` a subset of
-        ``dests``, ...), while shared network-wide tables carry no source
-        field (``("downdist",)``).  Matching on that structure -- across
-        every epoch -- lets a group invalidate exactly its own entries
-        without wiping other groups' plans or the shared tables.  A key
-        whose dest components are a *subset* of ``dests`` is also dropped
-        (chunked plans); that can touch a same-source group with a nested
-        destination set, which costs that group one replan but is never
-        unsound.  Returns the number of entries dropped.
+        ``dests``, ...).  Matching on that structure -- across every
+        epoch -- lets a group invalidate exactly its own entries without
+        wiping other groups' plans.  A key whose dest components are a
+        *subset* of ``dests`` is also dropped (chunked plans); that can
+        touch a same-source group with a nested destination set, which
+        costs that group one replan but is never unsound.  Returns the
+        number of entries dropped.
         """
         cache = getattr(self, "_plan_cache", None)
         if cache is None:
@@ -148,8 +147,8 @@ class MulticastScheme(abc.ABC):
         doomed = []
         for full_key in per_net:
             _epoch, key = full_key
-            if len(key) < 2 or key[1] != source:
-                continue  # shared, source-free tables survive
+            if key[1] != source:
+                continue
             if all(
                 frozenset(part) <= dset
                 for part in key[2:]

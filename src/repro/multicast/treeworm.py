@@ -24,13 +24,11 @@ Hardware-faithful details we model:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.multicast.base import MulticastResult, MulticastScheme
 from repro.routing.updown import UpDownRouting
-from repro.sim.fabric import LazyMap
 from repro.sim.messaging import HostReceiver, host_send, host_send_multiworm
 from repro.sim.network import SimNetwork
 from repro.sim.worm import Deliver, Forward
@@ -47,36 +45,9 @@ class TreeWormPlan:
     """Switch sequence from the source switch to the turn switch, inclusive."""
 
 
-def _down_distance_table(net: SimNetwork) -> LazyMap:
-    """dist[s][t] = minimum number of down traversals from s to t.
-
-    Each source switch's down BFS runs on its first lookup, so a worm pays
-    only for the switches it crosses; index it as ``dist[s].get(t)``.
-    """
-    rt, num_switches = net.routing, net.topo.num_switches
-
-    def down_bfs(s: int) -> dict[int, int]:
-        if not 0 <= s < num_switches:
-            raise KeyError(s)
-        d = {s: 0}
-        frontier = deque([s])
-        while frontier:
-            u = frontier.popleft()
-            du = d[u] + 1
-            for lk in rt.down_links_of(u):
-                v = lk.b.switch if lk.a.switch == u else lk.a.switch
-                if v not in d:
-                    d[v] = du
-                    frontier.append(v)
-        return d
-
-    return LazyMap(down_bfs)
-
-
 def down_port_assignment(
     topo: NetworkTopology,
     rt: UpDownRouting,
-    down_dist: dict[int, dict[int, int]],
     switch: int,
     remaining: frozenset[int],
 ) -> list[tuple[SwitchLink, frozenset[int]]]:
@@ -97,7 +68,7 @@ def down_port_assignment(
         best = None
         for lk in rt.down_links_of(switch):
             v = lk.other_end(switch).switch
-            dd = down_dist[v].get(t)
+            dd = rt.down_distances(v).get(t)
             if dd is None:
                 continue
             key = (dd, lk.link_id)
@@ -239,7 +210,6 @@ class TreeWormScheme(MulticastScheme):
         net: SimNetwork,
         plan: TreeWormPlan,
         dests: list[int],
-        down_dist: dict[int, dict[int, int]] | None = None,
     ) -> Callable:
         """Build the worm steering function implementing header decode.
 
@@ -248,8 +218,6 @@ class TreeWormScheme(MulticastScheme):
         ``remaining`` the set of destination bits still in the header copy.
         """
         topo, rt, fab = net.topo, net.routing, net.fabric
-        if down_dist is None:
-            down_dist = _down_distance_table(net)
 
         def local_drops(switch: int, remaining: frozenset[int]):
             instrs = []
@@ -261,9 +229,7 @@ class TreeWormScheme(MulticastScheme):
         def distribute_down(switch: int, remaining: frozenset[int]):
             """Priority-encode remaining header bits onto down ports."""
             instrs, remaining = local_drops(switch, remaining)
-            for lk, subset in down_port_assignment(
-                topo, rt, down_dist, switch, remaining
-            ):
+            for lk, subset in down_port_assignment(topo, rt, switch, remaining):
                 ch = fab.forward_channel(lk, switch)
                 instrs.append(Forward([(ch, ("down", subset))]))
             return instrs
@@ -320,9 +286,6 @@ class TreeWormScheme(MulticastScheme):
 
             return launch
 
-        down_dist = self._cached_plan(
-            net, ("downdist",), lambda: _down_distance_table(net)
-        )
         chunks = self._cached_plan(
             net,
             ("chunks", source, result.dests),
@@ -333,7 +296,7 @@ class TreeWormScheme(MulticastScheme):
 
             def plan_chunk(c=chunk):
                 p = plan_tree_worm(net, net.topo.switch_of_node(source), c)
-                return p, self.make_steer(net, p, c, down_dist)
+                return p, self.make_steer(net, p, c)
 
             _plan, steer = self._cached_plan(
                 net, ("worm", source, tuple(chunk)), plan_chunk

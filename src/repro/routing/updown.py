@@ -81,6 +81,9 @@ class UpDownRouting:
         default_factory=list, repr=False
     )
     """Per destination, once queried: next hops per state, filled on demand."""
+    _down_dist: dict[int, dict[int, int]] = field(default_factory=dict, repr=False)
+    """Per source switch, once queried: down-only hop count to each switch
+    it reaches."""
 
     # ------------------------------------------------------------------
     # Construction
@@ -154,7 +157,7 @@ class UpDownRouting:
 
         Call again after editing ``_up_end``: it rebuilds the per-switch
         up/down link lists and the reverse graph, and drops every cached
-        move and per-destination table.
+        move, per-destination table and down-distance map.
         """
         S = self.topo.num_switches
         up_links: list[list[SwitchLink]] = [[] for _ in range(S)]
@@ -176,6 +179,7 @@ class UpDownRouting:
         self._rev = rev
         self._dist = [None] * S
         self._hops = [None] * S
+        self._down_dist = {}
 
     def _state_moves(self, i: int) -> tuple[tuple[Hop, int], ...]:
         """State ``i``'s legal (hop, next state) moves, in link order."""
@@ -267,3 +271,37 @@ class UpDownRouting:
     def reachable(self, switch: int, phase: Phase, dest: int) -> bool:
         """Whether ``dest`` has any legal route from the state at all."""
         return self._state_dist(switch, phase, dest) >= 0
+
+    def down_distances(self, switch: int) -> dict[int, int]:
+        """Minimal down-only hop count from ``switch`` to each switch below.
+
+        One BFS per source switch, run on its first query and kept for the
+        routing's lifetime (one routing epoch).  Index it as
+        ``down_distances(s).get(t)``: ``None`` means ``t`` is not reachable
+        going only down.
+
+        Raises:
+            KeyError: for a switch outside the topology.
+        """
+        found = self._down_dist.get(switch)
+        if found is None:
+            found = self._down_dist[switch] = self._down_bfs(switch)
+        return found
+
+    def _down_bfs(self, source: int) -> dict[int, int]:
+        if not 0 <= source < self.topo.num_switches:
+            raise KeyError(source)
+        dist = {source: 0}
+        frontier = [source]
+        d = 0
+        while frontier:
+            d += 1
+            nxt: list[int] = []
+            for u in frontier:
+                for lk in self._down_links[u]:
+                    v = lk.b.switch if lk.a.switch == u else lk.a.switch
+                    if v not in dist:
+                        dist[v] = d
+                        nxt.append(v)
+            frontier = nxt
+        return dist

@@ -29,6 +29,7 @@ group's patched plan but never its membership.
 
 from __future__ import annotations
 
+import math
 import random
 
 from repro.topology.graph import NetworkTopology
@@ -129,8 +130,11 @@ def schedule_faults(
     if n_failures < 0:
         raise ValueError("n_failures must be non-negative")
     lo, hi = window
-    if hi < lo:
-        raise ValueError("window must be (low, high) with low <= high")
+    if not 0 <= lo <= hi < math.inf:
+        raise ValueError(
+            "window must be (low, high) with 0 <= low <= high, both finite, "
+            f"got {window}"
+        )
     rng = rng or random.Random(0)
     _, victims = _fail_in_turn(
         topo, n_failures, rng, f"cannot schedule {n_failures} runtime faults"

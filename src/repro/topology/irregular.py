@@ -37,6 +37,15 @@ def generate_irregular_topology(
             remaining free port *pairs* is consumed by random extra links
             (0.0 keeps a pure tree, 1.0 wires every spare port it can).
 
+    Generation takes O(S + N + L) time for S switches, N nodes and L links,
+    plus at most one list removal per switch per draw list.  Each of the
+    three draws (the spanning tree's redraw, host placement, extra links)
+    picks from a list built once and kept as switches fill: a switch leaves
+    it, order kept, the moment it has no port left for that purpose.  The
+    list therefore holds the same members in the same order as a rescan of
+    every switch at each draw would, so ``rng`` sees identical sequences and
+    each seed gives the same topology as that rescan.
+
     Returns:
         A connected :class:`NetworkTopology`.
 
@@ -50,18 +59,6 @@ def generate_irregular_topology(
     rng = random.Random(params.topology_seed if seed is None else seed)
     S, P, N = params.num_switches, params.ports_per_switch, params.num_nodes
 
-    # Ports are handed out from 0 upward on each switch; port numbering is
-    # immaterial to behaviour (routing is by link identity), so a simple
-    # next-free counter suffices.
-    next_port = [0] * S
-
-    def take_port(switch: int) -> PortRef:
-        ref = PortRef(switch, next_port[switch])
-        next_port[switch] += 1
-        if ref.port >= P:
-            raise AssertionError("internal port budget violation")
-        return ref
-
     # --- 1. host placement -------------------------------------------------
     # Every switch must keep >=1 port for the spanning tree (>=2 for interior
     # switches, but the tree construction below checks as it goes).
@@ -71,7 +68,10 @@ def generate_irregular_topology(
     # already-connected one).
     order = list(range(S))
     rng.shuffle(order)
-    tree_edges: list[tuple[int, int]] = []
+    # The (switch, switch) ends of every link in link-id order, tree first.
+    edges: list[tuple[int, int]] = []
+    # Connected switches that still have a tree port, in ``order`` order.
+    open_parents = [order[0]]
     for i in range(1, S):
         parent = order[rng.randrange(i)]
         if tree_ports_needed[parent] >= P:
@@ -82,82 +82,74 @@ def generate_irregular_topology(
             # draw only happens where the unguarded choice used to blow the
             # port budget at materialisation time, so every previously
             # valid seed reproduces its topology bit-for-bit.
-            open_parents = [
-                order[j] for j in range(i)
-                if tree_ports_needed[order[j]] < P
-            ]
             if not open_parents:
                 raise ValueError(
                     "cannot build spanning tree: port budget exhausted"
                 )
             parent = open_parents[rng.randrange(len(open_parents))]
-        tree_edges.append((parent, order[i]))
+        edges.append((parent, order[i]))
         tree_ports_needed[parent] += 1
         tree_ports_needed[order[i]] += 1
+        if tree_ports_needed[parent] == P:
+            open_parents.remove(parent)
+        if tree_ports_needed[order[i]] < P:
+            open_parents.append(order[i])
 
     host_of: list[int] = []
     host_count = [0] * S
+    # Switches with a port left for a host, in switch order.
+    candidates = [s for s in range(S) if tree_ports_needed[s] < P]
     for _ in range(N):
-        candidates = [
-            s
-            for s in range(S)
-            if host_count[s] + tree_ports_needed[s] < P
-        ]
         if not candidates:
             raise ValueError("cannot place all hosts: port budget exhausted")
         s = rng.choice(candidates)
         host_count[s] += 1
         host_of.append(s)
+        if host_count[s] + tree_ports_needed[s] == P:
+            candidates.remove(s)
 
-    # --- 2. spanning tree links --------------------------------------------
-    links: list[SwitchLink] = []
-    used_ports = [host_count[s] for s in range(S)]
-
-    def link_budget(s: int) -> int:
-        return P - used_ports[s]
-
-    link_id = 0
-    for a, b in tree_edges:
-        links.append(SwitchLink(link_id, PortRef(a, -1), PortRef(b, -1)))
-        used_ports[a] += 1
-        used_ports[b] += 1
-        link_id += 1
+    # --- 2. spanning tree links (already in ``edges``) ----------------------
+    used_ports = [h + t for h, t in zip(host_count, tree_ports_needed)]
 
     # --- 3. extra random links ----------------------------------------------
     if S > 1:
-        spare_pairs = sum(max(0, link_budget(s)) for s in range(S)) // 2
-        target_extra = int(round(spare_pairs * extra_link_fraction))
-        attempts = 0
-        added = 0
-        while added < target_extra and attempts < 50 * (target_extra + 1):
-            attempts += 1
-            open_switches = [s for s in range(S) if link_budget(s) > 0]
+        # Switches with a spare port, in switch order.
+        open_switches = [s for s in range(S) if used_ports[s] < P]
+        spare_pairs = sum(P - used_ports[s] for s in open_switches) // 2
+        for _ in range(int(round(spare_pairs * extra_link_fraction))):
             if len(open_switches) < 2:
                 break
             a, b = rng.sample(open_switches, 2)
-            links.append(SwitchLink(link_id, PortRef(a, -1), PortRef(b, -1)))
-            used_ports[a] += 1
-            used_ports[b] += 1
-            link_id += 1
-            added += 1
+            edges.append((a, b))
+            for end in (a, b):
+                used_ports[end] += 1
+                if used_ports[end] == P:
+                    open_switches.remove(end)
 
     # --- materialise port numbers -------------------------------------------
     # Hosts take the low ports, then links, mirroring Figure 1 of the paper
-    # where each switch mixes host ports and switch ports.
+    # where each switch mixes host ports and switch ports.  Port numbering is
+    # immaterial to behaviour (routing is by link identity), so a next-free
+    # counter per switch suffices; the topology's own port-range check would
+    # catch a switch handed more than P ports.
+    next_port = [0] * S
     node_attachment: list[PortRef] = []
     for s in host_of:
-        node_attachment.append(take_port(s))
-    final_links: list[SwitchLink] = []
-    for lk in links:
-        final_links.append(
-            SwitchLink(lk.link_id, take_port(lk.a.switch), take_port(lk.b.switch))
+        node_attachment.append(PortRef(s, next_port[s]))
+        next_port[s] += 1
+    links: list[SwitchLink] = []
+    for link_id, (a, b) in enumerate(edges):
+        links.append(
+            SwitchLink(link_id, PortRef(a, next_port[a]), PortRef(b, next_port[b]))
         )
+        next_port[a] += 1
+        next_port[b] += 1
 
     topo = NetworkTopology(
         num_switches=S,
         ports_per_switch=P,
         node_attachment=node_attachment,
-        links=final_links,
+        links=links,
     )
     if not topo.is_connected():
         raise AssertionError("generator produced a disconnected topology")

@@ -14,6 +14,7 @@ that never complete by the end of a generous drain period).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -117,8 +118,14 @@ def run_load_experiment(
     """
     if degree < 1 or degree >= topo.num_nodes:
         raise ValueError("degree must be in [1, num_nodes)")
-    if effective_load <= 0:
-        raise ValueError("effective load must be positive")
+    if not 0 < effective_load < math.inf:
+        raise ValueError(
+            f"effective_load must be finite and positive, got {effective_load}"
+        )
+    if not 0 <= drain_factor < math.inf:
+        raise ValueError(
+            f"drain_factor must be finite and >= 0, got {drain_factor}"
+        )
     from repro.traffic.patterns import resolve_pattern
 
     draw_dests = resolve_pattern(pattern)

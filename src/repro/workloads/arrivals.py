@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -87,10 +88,10 @@ def arrival_schedule(
         process: temporal arrival process name or callable
             (:data:`repro.traffic.patterns.ARRIVAL_PROCESSES`).
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be finite and positive, got {rate}")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and positive, got {duration}")
     if num_nodes < 1:
         raise ValueError("num_nodes must be >= 1")
     if not kinds:

@@ -23,6 +23,7 @@ exactly the congestion collapse the tail percentiles exist to show.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -373,6 +374,10 @@ def run_workload(
     """
     if warmup >= duration:
         raise ValueError("warmup must be smaller than duration")
+    if not 0 <= drain_factor < math.inf:
+        raise ValueError(
+            f"drain_factor must be finite and >= 0, got {drain_factor}"
+        )
     kinds = tuple(kinds)
     schedule = arrival_schedule(
         seed,

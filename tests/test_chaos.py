@@ -58,6 +58,11 @@ class TestSchedule:
         with pytest.raises(ValueError, match="non-negative"):
             FaultEvent(5.0, -2)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_event_time_rejected(self, time):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            FaultEvent(time, 0)
+
     def test_out_of_order_events_rejected(self):
         with pytest.raises(ValueError, match="ordered"):
             FaultSchedule(events=(FaultEvent(9.0, 0), FaultEvent(2.0, 1)))
@@ -85,6 +90,24 @@ class TestSchedule:
             schedule_faults(topo, -1)
         with pytest.raises(ValueError, match="window"):
             schedule_faults(topo, 1, window=(10.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            (0.0, float("nan")),
+            (float("nan"), 5.0),
+            (0.0, float("inf")),
+            (float("-inf"), 5.0),
+            (-1.0, 5.0),
+        ],
+    )
+    def test_schedule_faults_rejects_bad_windows(self, window):
+        # Unguarded, (0, nan) yields a NaN fire time that fails only when
+        # armed, and (0, inf) a fault that never fires.
+        with pytest.raises(ValueError, match="window must be"):
+            schedule_faults(
+                make_chorded_diamond(), 1, random.Random(1), window=window
+            )
 
 
 class TestInjector:

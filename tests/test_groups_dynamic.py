@@ -117,11 +117,12 @@ class TestKeyedInvalidation:
 
         other_keys = group_keys((4, 8))
         assert other_keys
+        down = dict(net.routing._down_dist)
+        assert bool(down) == (scheme == "tree")
         g.join(21)
         assert other_keys <= set(per_net)  # neighbour survived
-        assert ((net.routing_epoch, ("downdist",)) in per_net) == (
-            scheme == "tree"
-        )  # the shared table survives too
+        # The down distances live on the routing, which churn leaves alone.
+        assert all(net.routing._down_dist[s] is d for s, d in down.items())
 
     def test_destroy_discards_only_that_group(self):
         net = default_net()

@@ -15,13 +15,12 @@ from collections import deque
 import pytest
 
 from repro.fuzz.generator import generate_scenario
-from repro.multicast import pathworm
+from repro.multicast import make_scheme, pathworm
 from repro.multicast.pathworm import (
     MAX_PATHS_PER_DEST,
     PathWormPlan,
     plan_path_worms,
 )
-from repro.multicast.treeworm import _down_distance_table
 from repro.params import SimParams
 from repro.routing import Phase, UpDownRouting, build_bfs_tree
 from repro.routing.paths import (
@@ -163,11 +162,11 @@ class TestLazyDownDistances:
                 p = SimParams(routing_tree=orientation)
                 net = SimNetwork(generate_irregular_topology(p, seed=seed), p)
                 want = all_pairs_down_distances(net.routing)
-                down = _down_distance_table(net)
+                down = net.routing.down_distances
                 for s in shuffled_switches(net.routing, seed):
-                    assert down[s] == want[s], (seed, orientation, s)
+                    assert down(s) == want[s], (seed, orientation, s)
                     for t in range(net.topo.num_switches):
-                        assert down[s].get(t) == want[s].get(t)
+                        assert down(s).get(t) == want[s].get(t)
 
     def test_degraded_topology(self):
         p = SimParams(num_switches=16, num_nodes=32)
@@ -176,16 +175,49 @@ class TestLazyDownDistances:
         assert len(failed) == 3
         net = SimNetwork(topo, p)
         want = all_pairs_down_distances(net.routing)
-        down = _down_distance_table(net)
-        assert {s: down[s] for s in shuffled_switches(net.routing, 3)} == want
+        down = net.routing.down_distances
+        assert {s: down(s) for s in shuffled_switches(net.routing, 3)} == want
+
+    def test_one_bfs_per_switch_per_epoch(self, monkeypatch):
+        # Plan caching off: every tree multicast plans afresh, but they all
+        # read the routing's one table, so no switch's BFS runs twice
+        # within an epoch; a reconfiguration starts a fresh table.
+        runs = []
+        real = UpDownRouting._down_bfs
+
+        def counting(rt, source):
+            runs.append((id(rt), source))
+            return real(rt, source)
+
+        monkeypatch.setattr(UpDownRouting, "_down_bfs", counting)
+        p = SimParams(num_switches=16, num_nodes=32)
+        topo = generate_irregular_topology(p, seed=4)
+        net = SimNetwork(topo, p)
+        scheme = make_scheme("tree")
+        rng = random.Random(5)
+        epochs = [net.routing]
+        for step in range(24):
+            if step == 12:
+                topo, _failed = degrade(topo, 1, random.Random(6))
+                net.reconfigure(topo)
+                epochs.append(net.routing)
+            src = rng.randrange(32)
+            dests = rng.sample([n for n in range(32) if n != src], 6)
+            scheme.execute(net, src, dests)
+            net.run()
+        assert len(runs) == len(set(runs))
+        first, second = ({s for r, s in runs if r == id(rt)} for rt in epochs)
+        assert first and second
+        # The second epoch rebuilt what it needed: its table is its own.
+        assert epochs[0]._down_dist is not epochs[1]._down_dist
+        assert set(epochs[1]._down_dist) == second
 
     def test_unknown_switch_raises(self):
-        down = _down_distance_table(
-            SimNetwork(generate_irregular_topology(SimParams(), seed=0),
-                       SimParams()))
+        down = SimNetwork(generate_irregular_topology(SimParams(), seed=0),
+                          SimParams()).routing.down_distances
         for bad in (-1, 8):
             with pytest.raises(KeyError):
-                down[bad]
+                down(bad)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for the irregular topology generator and graph model."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from repro.topology.irregular import (
     generate_irregular_topology,
     generate_topology_family,
 )
+from repro.topology.serialization import topology_to_dict
 
 
 def small_params(**kw) -> SimParams:
@@ -276,3 +279,210 @@ class TestGenerator:
         assert all(t.is_connected() for t in fam)
         with pytest.raises(ValueError):
             generate_topology_family(small_params(), 0)
+
+
+def _reference_generate(params, seed=None, extra_link_fraction=0.5, seen=None):
+    """The rescan-per-draw generator, kept as the reference.
+
+    Its logic is the generator as it stood before the candidate lists were
+    kept across draws: every draw rebuilds its list by scanning all
+    switches.  ``seen`` collects which of the branches ran: ``"redraw"``
+    (the spanning tree's redraw), and ``"tree-full"``, ``"host-full"`` and
+    ``"link-full"`` when a switch runs out of ports for that draw.
+    """
+    seen = set() if seen is None else seen
+    params.validate()
+    if not 0.0 <= extra_link_fraction <= 1.0:
+        raise ValueError("extra_link_fraction must be within [0, 1]")
+    rng = random.Random(params.topology_seed if seed is None else seed)
+    S, P, N = params.num_switches, params.ports_per_switch, params.num_nodes
+    next_port = [0] * S
+
+    def take_port(switch):
+        ref = PortRef(switch, next_port[switch])
+        next_port[switch] += 1
+        if ref.port >= P:
+            raise AssertionError("internal port budget violation")
+        return ref
+
+    tree_ports_needed = [0] * S
+    order = list(range(S))
+    rng.shuffle(order)
+    tree_edges = []
+    for i in range(1, S):
+        parent = order[rng.randrange(i)]
+        if tree_ports_needed[parent] >= P:
+            seen.add("redraw")
+            open_parents = [
+                order[j] for j in range(i)
+                if tree_ports_needed[order[j]] < P
+            ]
+            if not open_parents:
+                raise ValueError(
+                    "cannot build spanning tree: port budget exhausted"
+                )
+            parent = open_parents[rng.randrange(len(open_parents))]
+        tree_edges.append((parent, order[i]))
+        tree_ports_needed[parent] += 1
+        tree_ports_needed[order[i]] += 1
+        if tree_ports_needed[parent] == P:
+            seen.add("tree-full")
+
+    host_of = []
+    host_count = [0] * S
+    for _ in range(N):
+        candidates = [
+            s
+            for s in range(S)
+            if host_count[s] + tree_ports_needed[s] < P
+        ]
+        if not candidates:
+            raise ValueError("cannot place all hosts: port budget exhausted")
+        s = rng.choice(candidates)
+        host_count[s] += 1
+        host_of.append(s)
+        if host_count[s] + tree_ports_needed[s] == P:
+            seen.add("host-full")
+
+    links = []
+    used_ports = [host_count[s] for s in range(S)]
+
+    def link_budget(s):
+        return P - used_ports[s]
+
+    link_id = 0
+    for a, b in tree_edges:
+        links.append(SwitchLink(link_id, PortRef(a, -1), PortRef(b, -1)))
+        used_ports[a] += 1
+        used_ports[b] += 1
+        link_id += 1
+
+    if S > 1:
+        spare_pairs = sum(max(0, link_budget(s)) for s in range(S)) // 2
+        target_extra = int(round(spare_pairs * extra_link_fraction))
+        attempts = 0
+        added = 0
+        while added < target_extra and attempts < 50 * (target_extra + 1):
+            attempts += 1
+            open_switches = [s for s in range(S) if link_budget(s) > 0]
+            if len(open_switches) < 2:
+                break
+            a, b = rng.sample(open_switches, 2)
+            links.append(SwitchLink(link_id, PortRef(a, -1), PortRef(b, -1)))
+            used_ports[a] += 1
+            used_ports[b] += 1
+            link_id += 1
+            added += 1
+            if 0 in (link_budget(a), link_budget(b)):
+                seen.add("link-full")
+
+    node_attachment = [take_port(s) for s in host_of]
+    final_links = [
+        SwitchLink(lk.link_id, take_port(lk.a.switch), take_port(lk.b.switch))
+        for lk in links
+    ]
+    return NetworkTopology(
+        num_switches=S,
+        ports_per_switch=P,
+        node_attachment=node_attachment,
+        links=final_links,
+    )
+
+
+def _rendering(generate, params, seed, fraction, **kw):
+    """Everything a generated topology is, or the ``ValueError`` text."""
+    try:
+        topo = generate(params, seed=seed, extra_link_fraction=fraction, **kw)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return (
+        tuple(topo.node_attachment),
+        tuple((lk.link_id, lk.a, lk.b) for lk in topo.links),
+    )
+
+
+def _max_nodes(switches: int, ports: int) -> int:
+    """The largest node count :meth:`SimParams.validate` accepts."""
+    if switches == 1:
+        return ports
+    return min(switches * (ports - 1), ports * switches - 2 * (switches - 1))
+
+
+def _canonical_digest(topo: NetworkTopology) -> str:
+    payload = json.dumps(
+        topology_to_dict(topo), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class TestGeneratorMatchesReference:
+    """The kept-list generator draws exactly what a rescan per draw did."""
+
+    def test_seeded_draws_match(self):
+        rng = random.Random(33)
+        seen: set[str] = set()
+        errors = 0
+        draws = 0
+        for size in range(1, 257):
+            # Every switch count once, at a random shape and fraction, plus
+            # the small sizes many times: their draws fill switches often.
+            for _ in range(1 if size > 32 else 60):
+                ports = rng.randint(2, 12)
+                if size >= 128 and rng.random() < 0.5:
+                    # Sparse ports at large S: the spanning tree's first
+                    # draw lands on a full hub, so the redraw branch runs.
+                    ports = rng.randint(3, 4)
+                limit = _max_nodes(size, ports)
+                nodes = rng.randint(2, limit + 2 if rng.random() < 0.1 else limit)
+                params = SimParams(
+                    num_switches=size, ports_per_switch=ports, num_nodes=nodes
+                )
+                fraction = rng.choice([0.0, 0.25, 0.5, 1.0])
+                seed = rng.randrange(1 << 30)
+                expected = _rendering(
+                    _reference_generate, params, seed, fraction, seen=seen
+                )
+                got = _rendering(generate_irregular_topology, params, seed, fraction)
+                assert got == expected, (size, ports, nodes, fraction, seed)
+                errors += isinstance(expected, str)
+                draws += 1
+        assert draws >= 2_000
+        assert errors > 0
+        assert seen == {"redraw", "tree-full", "host-full", "link-full"}
+
+    def test_error_texts_match(self):
+        cases = [
+            (SimParams(num_switches=1, ports_per_switch=4, num_nodes=5), 0.5),
+            (SimParams(num_switches=3, ports_per_switch=4, num_nodes=10), 0.5),
+            (SimParams(num_switches=4, ports_per_switch=2, num_nodes=4), 0.0),
+            (SimParams(), 1.5),
+            (SimParams(), float("nan")),
+        ]
+        for params, fraction in cases:
+            expected = _rendering(_reference_generate, params, 1, fraction)
+            assert expected.startswith("ValueError: ")
+            assert _rendering(
+                generate_irregular_topology, params, 1, fraction
+            ) == expected
+
+    @pytest.mark.parametrize(
+        "switches, nodes, seed, digest",
+        [
+            (256, 512, 0,
+             "8d8f92f14da20a6a63643e6d90f56271eced2df8097bd50364caa30249ea28bc"),
+            (256, 512, 1,
+             "3d11963fa8a3f29bac1ca9158bd93d3a28bb740a7fb14577da1cdf7f342b84a2"),
+            (256, 512, 2,
+             "619cb17537d53b206eb5f04b6b72b9272017397aee3471791ad50d82064d6671"),
+            (1024, 2048, 0,
+             "c90ece4ec34ab33753f937933fa1c4858e8aad78ef7989399e029122640a35e5"),
+            (1024, 2048, 1,
+             "bb78b144ed15e755a720802c9917ea8dcfde8928aba7f5ea38a8cb793f1f6b71"),
+            (1024, 2048, 2,
+             "ed310c61c84b2e183fc26eea5272b3b66ef260919e8ea568d9e0d17acdc57f3d"),
+        ],
+    )
+    def test_golden_digests(self, switches, nodes, seed, digest):
+        params = SimParams(num_switches=switches, num_nodes=nodes)
+        topo = generate_irregular_topology(params, seed=seed)
+        assert _canonical_digest(topo) == digest

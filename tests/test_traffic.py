@@ -228,6 +228,24 @@ class TestLoadEdgeCases:
         assert not p.saturated
         assert p.completion_ratio == 1.0
 
+    @pytest.mark.parametrize(
+        "kw, name",
+        [
+            ({"effective_load": float("nan")}, "effective_load"),
+            ({"effective_load": float("inf")}, "effective_load"),
+            ({"drain_factor": float("nan")}, "drain_factor"),
+            ({"drain_factor": float("inf")}, "drain_factor"),
+            ({"drain_factor": -0.5}, "drain_factor"),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, kw, name):
+        # Unguarded, an infinite load reschedules ``issue`` at gap 0
+        # forever; NaN fails deep inside with an unrelated message.
+        args = dict(degree=4, effective_load=0.01, duration=1_000, warmup=100)
+        args.update(kw)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            run_load_experiment(topo_default(), SimParams(), "tree", **args)
+
     def test_all_complete_not_saturated(self):
         assert not saturated_by_shortfall(100, 100, threshold=0.9)
 

@@ -128,6 +128,38 @@ class TestArrivalStream:
         with pytest.raises((ValueError, KeyError)):
             arrival_schedule(1, **args)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("rate", float("nan")),
+            ("rate", float("inf")),
+            ("duration", float("nan")),
+            ("duration", float("inf")),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, name, value):
+        # Neither NaN nor inf ever reaches the ``time >= duration`` break:
+        # unguarded, the schedule grows without bound.
+        args = dict(rate=0.001, duration=10_000, num_nodes=8)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            arrival_schedule(1, **args)
+
+    @pytest.mark.parametrize(
+        "kw, name",
+        [
+            ({"rate": float("nan")}, "rate"),
+            ({"drain_factor": float("nan")}, "drain_factor"),
+            ({"drain_factor": float("inf")}, "drain_factor"),
+            ({"drain_factor": -1.0}, "drain_factor"),
+        ],
+    )
+    def test_run_workload_rejects_non_finite(self, kw, name):
+        args = dict(seed=1, rate=0.001, duration=10_000)
+        args.update(kw)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            run_workload(_small_topo(), SMALL, "tree", **args)
+
 
 # ----------------------------------------------------------------------
 # Open-loop admission invariant
