@@ -90,20 +90,6 @@ class GlobalInfo:
 
 
 @dataclass
-class CallSite:
-    """One call expression inside a function body."""
-
-    caller: str
-    callee: str | None
-    """Resolved ``module:qualname`` of the target, or None if unresolved."""
-
-    attr: str | None
-    """For attribute calls, the method name (even when unresolved)."""
-
-    lineno: int
-
-
-@dataclass
 class ModuleEntry:
     """Everything the index knows about one module."""
 
@@ -137,7 +123,6 @@ class ProjectIndex:
         self.modules: dict[str, ModuleEntry] = {}
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
-        self.calls: dict[str, list[CallSite]] = {}
         self.callees: dict[str, set[str]] = {}
 
     # ------------------------------------------------------------------
@@ -382,10 +367,10 @@ class ProjectIndex:
     def _resolve_call(
         self, fn: FunctionInfo, call: ast.Call,
         types: dict[str, ClassInfo],
-    ) -> CallSite:
+    ) -> str | None:
+        """The ``module:qualname`` a call resolves to, or None."""
         func = call.func
         callee: str | None = None
-        attr: str | None = None
         if isinstance(func, ast.Name):
             target = self.resolve_name(fn.module, func.id)
             if target is not None and ":" in target:
@@ -433,10 +418,7 @@ class ProjectIndex:
                     elif target is not None and target in self.classes:
                         m = self.method_on(self.classes[target], rest)
                         callee = m.qual if m is not None else None
-        return CallSite(
-            caller=fn.qual, callee=callee, attr=attr,
-            lineno=getattr(call, "lineno", fn.lineno),
-        )
+        return callee
 
     def _resolve_calls(self, entry: ModuleEntry) -> None:
         for qual in sorted(self.functions):
@@ -444,14 +426,12 @@ class ProjectIndex:
             if fn.module != entry.name:
                 continue
             types = self._local_types(fn)
-            sites: list[CallSite] = []
-            for node in ast.walk(fn.node):
-                if isinstance(node, ast.Call):
-                    sites.append(self._resolve_call(fn, node, types))
-            self.calls[qual] = sites
-            self.callees[qual] = {
-                s.callee for s in sites if s.callee is not None
+            callees = {
+                self._resolve_call(fn, node, types)
+                for node in ast.walk(fn.node) if isinstance(node, ast.Call)
             }
+            callees.discard(None)
+            self.callees[qual] = callees
 
     # ------------------------------------------------------------------
     # Reachability

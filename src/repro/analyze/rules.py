@@ -1,19 +1,19 @@
 """Lint-registry bridge: the whole-program analyzers as lint rules.
 
-Importing this module registers four rules into the ``repro-lint``
+Importing this module registers three rules into the ``repro-lint``
 registry, so they share its rule ids, severities, and suppressions:
 
 * ``identity-in-sim`` (code) -- ``id()`` / ``os.environ`` inside simulation
   scopes;
-* ``unordered-into-sink`` (project) -- the determinism taint analysis;
 * ``runtime-global-mutation`` (project) -- runner-reachable mutation of
   module-level state;
 * ``cross-network-mutation`` (project) -- writes to ``SimNetwork`` /
   ``Engine`` state from outside the sim layer.
 
-The three project rules share one :class:`ProjectIndex` + effects pass per
+The two project rules share one :class:`ProjectIndex` + effects pass per
 file set (cached on source content), so registering them adds a single
-whole-program walk to a lint run, not three.
+whole-program walk to a lint run, not two.  Each rule catches a planted
+bug no dynamic CI check catches (the kill table in DESIGN.md §7).
 
 The last two rules guard cell isolation.  The cell runner
 (:mod:`repro.experiments.runner`) fans independent simulation cells over a
@@ -30,14 +30,12 @@ import ast
 
 from repro.analyze.effects import EffectSet, infer_effects
 from repro.analyze.project import ProjectIndex, dotted_name
-from repro.analyze.taint import analyze_taint
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import SIM_SCOPES, rule
 from repro.lint.sources import ParsedFile
 
 JUSTIFIED_RULES = frozenset({
     "identity-in-sim",
-    "unordered-into-sink",
     "runtime-global-mutation",
     "cross-network-mutation",
 })
@@ -84,14 +82,6 @@ def _analysis_for(
         _CACHE.clear()  # keep exactly the latest file set
         _CACHE[key] = hit
     return hit
-
-
-def _sim_modules(index: ProjectIndex) -> list[str]:
-    """Modules the determinism rules apply to (sim scopes + fixtures)."""
-    return sorted(
-        name for name, entry in index.modules.items()
-        if entry.scope is None or entry.scope in SIM_SCOPES
-    )
 
 
 # ----------------------------------------------------------------------
@@ -142,38 +132,6 @@ def check_identity_in_sim(
                 message=message,
             ))
     return findings
-
-
-# ----------------------------------------------------------------------
-# unordered-into-sink (project rule)
-# ----------------------------------------------------------------------
-@rule(
-    "unordered-into-sink",
-    kind="project",
-    description=(
-        "unordered-collection iteration order must not flow into event "
-        "scheduling, trace records, arbitration heaps, or seed derivation"
-    ),
-    rationale=(
-        "set/frozenset iteration order depends on insertion history and "
-        "hash seeds; any flow into Engine.at/.after, TraceLog.emit, "
-        "heappush, or derive_seed not laundered through sorted(...) makes "
-        "the trace digest a function of memory layout instead of inputs."
-    ),
-)
-def check_unordered_into_sink(files: dict[str, ParsedFile]) -> list[Finding]:
-    index, _effects = _analysis_for(files)
-    return [
-        Finding(
-            rule="unordered-into-sink",
-            severity=Severity.ERROR,
-            path=flow.path,
-            line=flow.line,
-            col=flow.col,
-            message=flow.message(),
-        )
-        for flow in analyze_taint(index, modules=_sim_modules(index))
-    ]
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,8 @@ same seed + same schedule replays to byte-identical traces.
 
 from __future__ import annotations
 
+import math
+
 from repro.chaos.schedule import FaultEvent, FaultSchedule
 from repro.sim.network import SimNetwork
 from repro.topology import faults
@@ -48,8 +50,11 @@ class FaultInjector:
         schedule: FaultSchedule,
         reconfig_latency: float = 0.0,
     ) -> None:
-        if reconfig_latency < 0:
-            raise ValueError("reconfig_latency must be non-negative")
+        if not 0 <= reconfig_latency < math.inf:
+            raise ValueError(
+                f"reconfig_latency must be finite and non-negative, got "
+                f"{reconfig_latency}"
+            )
         self.net = net
         self.schedule = schedule
         self.reconfig_latency = reconfig_latency

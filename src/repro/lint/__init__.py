@@ -7,7 +7,7 @@ One engine, one front end, two rule kinds:
   the simulation packages -- the hazards that silently break
   reproducibility of the paper's figures;
 * **project rules** (whole tree): import cycles plus the whole-program
-  analyzers of :mod:`repro.analyze` (determinism taint, cell isolation).
+  analyzers of :mod:`repro.analyze` (cell isolation).
 
 The up*/down* model invariants (CDG acyclicity, reachability, header
 capacity, per-epoch replay) are not lint rules: they live in

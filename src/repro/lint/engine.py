@@ -92,7 +92,7 @@ def _apply_suppressions(
 def run_lint(paths: list[pathlib.Path]) -> LintResult:
     """Run every applicable rule over the files/directories in ``paths``;
     returns findings sorted by location."""
-    # Registers the whole-program analyzer rules (taint, cell isolation)
+    # Registers the whole-program analyzer rules (cell isolation)
     # so one lint invocation runs both passes; see the module docstring for
     # why this import cannot be top-level.
     from repro.analyze.rules import JUSTIFIED_RULES

@@ -54,17 +54,20 @@ def build_bfs_tree(topo: NetworkTopology, root: int = 0) -> BfsTree:
     level = [-1] * topo.num_switches
     parent = [-1] * topo.num_switches
     parent_link = [-1] * topo.num_switches
+    outgoing: list[list[tuple[int, int]]] = [
+        [] for _ in range(topo.num_switches)
+    ]
+    for lk in topo.links:
+        a, b = lk.a.switch, lk.b.switch
+        outgoing[a].append((b, lk.link_id))
+        outgoing[b].append((a, lk.link_id))
     level[root] = 0
     q: deque[int] = deque([root])
     while q:
         s = q.popleft()
         # Deterministic order: neighbours ascending, lowest link id first
         # (link ids are unique, so the sort never compares further).
-        outgoing: list[tuple[int, int]] = sorted(
-            (lk.b.switch if lk.a.switch == s else lk.a.switch, lk.link_id)
-            for lk in topo.links_of(s)
-        )
-        for nb, link_id in outgoing:
+        for nb, link_id in sorted(outgoing[s]):
             if level[nb] == -1:
                 level[nb] = level[s] + 1
                 parent[nb] = s

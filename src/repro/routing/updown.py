@@ -101,15 +101,23 @@ class UpDownRouting:
         """
         tree = build_bfs_tree(topo, root=root)
         rt = cls(topo=topo, tree=tree)
+        up_end = rt._up_end
         if orientation == "bfs":
+            level = tree.level
             for lk in topo.links:
-                rt._up_end[lk.link_id] = rt._bfs_up_end(lk)
+                a, b = lk.a.switch, lk.b.switch
+                la, lb = level[a], level[b]
+                # The end closer to the root is up; a level tie goes to
+                # the lower switch id.
+                up_end[lk.link_id] = (
+                    a if la < lb or (la == lb and a < b) else b
+                )
         elif orientation == "dfs":
             from repro.routing.dfs_tree import dfs_preorder_labels
 
             labels = dfs_preorder_labels(topo, root=root)
             for lk in topo.links:
-                rt._up_end[lk.link_id] = (
+                up_end[lk.link_id] = (
                     lk.a.switch
                     if labels[lk.a.switch] < labels[lk.b.switch]
                     else lk.b.switch
@@ -118,12 +126,6 @@ class UpDownRouting:
             raise ValueError(f"unknown orientation {orientation!r}")
         rt._compute_tables()
         return rt
-
-    def _bfs_up_end(self, link: SwitchLink) -> int:
-        la, lb = self.tree.level[link.a.switch], self.tree.level[link.b.switch]
-        if la != lb:
-            return link.a.switch if la < lb else link.b.switch
-        return min(link.a.switch, link.b.switch)
 
     # ------------------------------------------------------------------
     # Orientation queries
@@ -164,15 +166,23 @@ class UpDownRouting:
         down_links: list[list[SwitchLink]] = [[] for _ in range(S)]
         rev: list[list[int]] = [[] for _ in range(2 * S)]
         up_end = self._up_end
-        for s in range(S):
-            for lk in self.topo.links_of(s):
-                t = lk.b.switch if lk.a.switch == s else lk.a.switch
-                if up_end[lk.link_id] != s:  # crossing goes up
-                    up_links[s].append(lk)
-                    rev[2 * t].append(2 * s)
-                else:
-                    down_links[s].append(lk)
-                    rev[2 * t + 1] += (2 * s, 2 * s + 1)
+        # One pass in link order keeps each switch's lists in its
+        # ``links_of`` order; each end is classified on its own.
+        for lk in self.topo.links:
+            a, b = lk.a.switch, lk.b.switch
+            u = up_end[lk.link_id]
+            if u != a:  # crossing out of a goes up
+                up_links[a].append(lk)
+                rev[2 * b].append(2 * a)
+            else:
+                down_links[a].append(lk)
+                rev[2 * b + 1] += (2 * a, 2 * a + 1)
+            if u != b:
+                up_links[b].append(lk)
+                rev[2 * a].append(2 * b)
+            else:
+                down_links[b].append(lk)
+                rev[2 * a + 1] += (2 * b, 2 * b + 1)
         self._up_links = [tuple(links) for links in up_links]
         self._down_links = [tuple(links) for links in down_links]
         self._moves = [None] * (2 * S)

@@ -372,8 +372,15 @@ def run_workload(
             workloads; ops then go through reliable retried delivery).
         **scheme_kw: forwarded to the multicast scheme (e.g. NI variants).
     """
-    if warmup >= duration:
-        raise ValueError("warmup must be smaller than duration")
+    if not 0 <= warmup < duration:
+        raise ValueError(
+            f"warmup must be finite, >= 0 and smaller than duration "
+            f"{duration}, got {warmup}"
+        )
+    if not 0 < deadline_factor < math.inf:
+        raise ValueError(
+            f"deadline_factor must be finite and > 0, got {deadline_factor}"
+        )
     if not 0 <= drain_factor < math.inf:
         raise ValueError(
             f"drain_factor must be finite and >= 0, got {drain_factor}"

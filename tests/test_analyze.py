@@ -1,7 +1,8 @@
 """Planted-violation tests for the whole-program analyzers.
 
 Every analyzer rule gets a fixture tree that violates it (and a minimally
-different one that does not), the suppression mechanics get regression
+different one that does not), plus the kill-table case that only it
+catches (DESIGN.md §7); the suppression mechanics get regression
 coverage for multi-line statements and justification enforcement, and the
 epoch-sequence verifier is proven to detect a planted epoch-1 CDG cycle --
 a checker that cannot find the bug it exists for proves nothing by passing.
@@ -18,7 +19,6 @@ from repro.lint.suppress import (
     parse_suppression_comments,
     statement_anchors,
 )
-from repro.routing.bfs_tree import build_bfs_tree
 from repro.routing.invariants import verify_epoch_sequence
 from repro.routing.updown import UpDownRouting
 from repro.topology.graph import NetworkTopology, PortRef, SwitchLink
@@ -41,73 +41,6 @@ def rules_found(result) -> set[str]:
 
 
 # ----------------------------------------------------------------------
-# Determinism taint: unordered-into-sink
-# ----------------------------------------------------------------------
-class TestTaint:
-    def test_loop_over_set_into_scheduler_is_flagged(self, tmp_path):
-        root = write_tree(tmp_path, {"sim/sched.py": """
-            def schedule_all(engine, nodes):
-                pending = set(nodes)
-                for n in pending:
-                    engine.at(1.0, n)
-        """})
-        result = analyze(root)
-        assert "unordered-into-sink" in rules_found(result)
-        [f] = [f for f in result.findings
-               if f.rule == "unordered-into-sink"]
-        assert f.path.endswith("sched.py") and f.line == 5
-
-    def test_sorted_laundering_clears_the_taint(self, tmp_path):
-        root = write_tree(tmp_path, {"sim/sched.py": """
-            def schedule_all(engine, nodes):
-                pending = set(nodes)
-                for n in sorted(pending):
-                    engine.at(1.0, n)
-        """})
-        assert analyze(root).findings == []
-
-    def test_tainted_argument_reaches_trace_and_heap(self, tmp_path):
-        root = write_tree(tmp_path, {"sim/emitters.py": """
-            from heapq import heappush
-
-            def note(trace, switches):
-                order = list({s + 1 for s in switches})
-                trace.emit("arb", order)
-
-            def arbitrate(queue, requests):
-                ready = set(requests)
-                heappush(queue, ready)
-        """})
-        result = analyze(root)
-        lines = sorted(
-            f.line for f in result.findings
-            if f.rule == "unordered-into-sink"
-        )
-        assert lines == [6, 10]
-
-    def test_order_insensitive_reductions_are_clean(self, tmp_path):
-        root = write_tree(tmp_path, {"sim/folds.py": """
-            def total(engine, nodes):
-                pending = set(nodes)
-                engine.at(1.0, len(pending))
-                engine.after(sum(pending), max(pending))
-        """})
-        assert analyze(root).findings == []
-
-    def test_set_returning_helper_taints_callers(self, tmp_path):
-        root = write_tree(tmp_path, {"sim/helpers.py": """
-            def frontier(topo) -> frozenset:
-                return frozenset(topo)
-
-            def kick(engine, topo):
-                for s in frontier(topo):
-                    engine.after(1.0, s)
-        """})
-        result = analyze(root)
-        assert "unordered-into-sink" in rules_found(result)
-
-
-# ----------------------------------------------------------------------
 # identity-in-sim
 # ----------------------------------------------------------------------
 class TestIdentity:
@@ -121,6 +54,34 @@ class TestIdentity:
         result = analyze(root)
         assert [f.rule for f in result.findings] == \
             ["identity-in-sim", "identity-in-sim"]
+
+    # Kill-table cases I3 and I4 (DESIGN.md §7): CI sets no such variable,
+    # so every dynamic check passes; only this rule sees the reads.
+    @pytest.mark.parametrize("files, lines", [
+        pytest.param({"sim/network.py": """
+            import dataclasses
+            import os
+
+            class SimNetwork:
+                def __init__(self, topo, params):
+                    if os.environ.get("REPRO_VC_COUNT"):
+                        params = dataclasses.replace(
+                            params, vc_count=int(os.environ["REPRO_VC_COUNT"]))
+                    self.params = params
+        """}, [7, 9], id="vc-count-override"),
+        pytest.param({"fuzz/generator.py": """
+            import os
+
+            def random_params(rng):
+                cap = int(os.environ.get("REPRO_FUZZ_MAX_SWITCHES", "10"))
+                return rng.randint(2, cap)
+        """}, [5], id="fuzz-size-cap"),
+    ])
+    def test_planted_environment_reads_are_flagged(self, tmp_path, files,
+                                                   lines):
+        root = write_tree(tmp_path, files)
+        found = [(f.rule, f.line) for f in analyze(root).findings]
+        assert found == [("identity-in-sim", n) for n in lines]
 
     def test_outside_sim_scope_is_not_flagged(self, tmp_path):
         root = write_tree(tmp_path, {"repro/tools/keys.py": """
@@ -151,6 +112,26 @@ class TestPartitionSafety:
         assert f.line == 8
         assert "run_load_experiment" in f.message
         assert "RESULTS" in f.message
+
+    def test_planted_topology_memo_is_flagged(self, tmp_path):
+        # Kill-table case G2 (DESIGN.md §7): the memo's key leaves out the
+        # topology seed, so a later call with another seed gets the first
+        # seed's topologies.  Every experiment uses one topology seed, so
+        # no CI check sees it.
+        root = write_tree(tmp_path, {"traffic/single.py": """
+            from topology.irregular import generate_topology_family
+
+            _FAMILIES = {}
+
+            def average_single_multicast_latency(params, n_topologies):
+                fkey = (params.num_switches, params.num_nodes, n_topologies)
+                if fkey not in _FAMILIES:
+                    _FAMILIES[fkey] = generate_topology_family(
+                        params, n_topologies)
+                return _FAMILIES[fkey]
+        """})
+        found = [(f.rule, f.line) for f in analyze(root).findings]
+        assert found == [("runtime-global-mutation", 9)]
 
     def test_unreachable_registry_write_stays_partition_local(self, tmp_path):
         root = write_tree(tmp_path, {"traffic/load.py": """
@@ -232,6 +213,32 @@ class TestPartitionSafety:
         assert "routing" in found[0].message
         # net.trace is a documented observer slot: allowed.
 
+    def test_planted_control_message_params_write_is_flagged(
+        self, tmp_path
+    ):
+        # Kill-table case X1 (DESIGN.md §7): the control send shrinks every
+        # later message on the network to one packet.  No CI check runs a
+        # collective with multi-packet messages, so only this rule sees it.
+        root = write_tree(tmp_path, {
+            "sim/network.py": """
+                class SimNetwork:
+                    def __init__(self, params):
+                        self.params = params
+            """,
+            "collectives/ops.py": """
+                import dataclasses
+
+                from sim.network import SimNetwork
+
+                def _send_control(net: SimNetwork, src, dst):
+                    net.params = dataclasses.replace(
+                        net.params, message_packets=1)
+                    return (src, dst)
+            """,
+        })
+        found = [(f.rule, f.line) for f in analyze(root).findings]
+        assert found == [("cross-network-mutation", 7)]
+
     def test_receiver_writes_are_not_parameter_writes(self, tmp_path):
         # `self` is typed as its own class; its stores are the object's
         # own state even when the class is named SimNetwork outside sim/.
@@ -267,18 +274,20 @@ class TestPartitionSafety:
 # ----------------------------------------------------------------------
 class TestLintBridge:
     def test_one_lint_run_carries_the_analyzer_rules(self, tmp_path):
-        root = write_tree(tmp_path, {"sim/both.py": """
-            RETRIES = []
+        root = write_tree(tmp_path, {
+            "sim/keys.py": """
+                def key(net):
+                    return id(net)
+            """,
+            "traffic/load.py": """
+                RETRIES = []
 
-            def key(net):
-                return id(net)
-
-            def schedule(engine, nodes):
-                for n in set(nodes):
-                    engine.at(1.0, n)
-        """})
+                def run_load_experiment(cfg):
+                    RETRIES.append(cfg)
+            """,
+        })
         result = run_lint([root])
-        assert {"identity-in-sim", "unordered-into-sink"} <= \
+        assert {"identity-in-sim", "runtime-global-mutation"} <= \
             {f.rule for f in result.findings}
 
 
@@ -383,11 +392,8 @@ def ring_topology(chord: bool = False) -> NetworkTopology:
 
 def cyclic_up_orientation(topo: NetworkTopology) -> UpDownRouting:
     """A corrupt orientation whose 'up' links run clockwise around the ring."""
-    rt = UpDownRouting(topo=topo, tree=build_bfs_tree(topo, root=0))
-    clockwise = {0: 1, 1: 2, 2: 3, 3: 0}
-    for lk in topo.links:
-        rt._up_end[lk.link_id] = clockwise.get(
-            lk.link_id, rt._bfs_up_end(lk))
+    rt = UpDownRouting.build(topo)
+    rt._up_end.update({0: 1, 1: 2, 2: 3, 3: 0})  # link id -> up end
     rt._compute_tables()
     return rt
 

@@ -122,6 +122,12 @@ class TestInjector:
         with pytest.raises(ValueError, match="non-negative"):
             FaultInjector(net, FaultSchedule(), reconfig_latency=-1.0)
 
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+    def test_non_finite_latency_rejected(self, latency):
+        net = chaos_net()
+        with pytest.raises(ValueError, match="^reconfig_latency must be finite"):
+            FaultInjector(net, FaultSchedule(), reconfig_latency=latency)
+
     def test_repeat_fault_is_skipped(self):
         net = chaos_net()
         arm(net, [(5.0, 4), (6.0, 4)])

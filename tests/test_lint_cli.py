@@ -64,7 +64,7 @@ def test_list_rules_names_every_family(capsys):
         "unseeded-random", "wall-clock", "blanket-except", "float-time-eq",
         "mutable-default", "import-cycle",
         # whole-program analyzers
-        "identity-in-sim", "unordered-into-sink", "runtime-global-mutation",
+        "identity-in-sim", "runtime-global-mutation",
         "cross-network-mutation",
         # findings the engine emits itself
         "parse-error", "unjustified-suppression",

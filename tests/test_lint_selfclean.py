@@ -1,8 +1,9 @@
 """The zero-findings gate: the shipped tree must pass its own linter.
 
 Any regression that reintroduces a wall-clock read, unseeded draw, silent
-except, import cycle, unordered iteration into a sink, or a
-runner-reachable global write fails here.  The model invariants are not
+except, import cycle, id() or os.environ in simulation code, a
+runner-reachable global write, or a write to a handed-in network from
+outside the sim layer fails here.  The model invariants are not
 lint's: tests/test_lint_model_rules.py and tests/test_fuzz_corpus.py check
 them.
 """

@@ -260,3 +260,142 @@ class TestReachability:
         reach = ReachabilityTable.build(rt)
         assert reach.covers(0, {1, 3})
         assert not reach.covers(2, {0})
+
+
+# ----------------------------------------------------------------------
+# One-pass table build == the per-switch build it replaced
+# ----------------------------------------------------------------------
+def _reference_bfs_tree(topo: NetworkTopology, root: int = 0):
+    """The per-switch BFS: each visited switch sorts its own links_of."""
+    from collections import deque
+
+    level = [-1] * topo.num_switches
+    parent = [-1] * topo.num_switches
+    parent_link = [-1] * topo.num_switches
+    level[root] = 0
+    q = deque([root])
+    while q:
+        s = q.popleft()
+        outgoing = sorted(
+            (lk.b.switch if lk.a.switch == s else lk.a.switch, lk.link_id)
+            for lk in topo.links_of(s)
+        )
+        for nb, link_id in outgoing:
+            if level[nb] == -1:
+                level[nb] = level[s] + 1
+                parent[nb] = s
+                parent_link[nb] = link_id
+                q.append(nb)
+    return tuple(level), tuple(parent), tuple(parent_link)
+
+
+def _reference_bfs_up_end(level, link: SwitchLink) -> int:
+    la, lb = level[link.a.switch], level[link.b.switch]
+    if la != lb:
+        return link.a.switch if la < lb else link.b.switch
+    return min(link.a.switch, link.b.switch)
+
+
+def _reference_tables(topo: NetworkTopology, up_end: dict[int, int]):
+    """Per-switch link lists and reverse state graph, one switch at a time."""
+    S = topo.num_switches
+    up_links = [[] for _ in range(S)]
+    down_links = [[] for _ in range(S)]
+    rev = [[] for _ in range(2 * S)]
+    for s in range(S):
+        for lk in topo.links_of(s):
+            t = lk.b.switch if lk.a.switch == s else lk.a.switch
+            if up_end[lk.link_id] != s:
+                up_links[s].append(lk)
+                rev[2 * t].append(2 * s)
+            else:
+                down_links[s].append(lk)
+                rev[2 * t + 1] += (2 * s, 2 * s + 1)
+    return (
+        [tuple(x) for x in up_links], [tuple(x) for x in down_links], rev
+    )
+
+
+def _reference_solve(rev: list[list[int]], dest: int) -> list[int]:
+    dist = [-1] * len(rev)
+    dist[2 * dest] = dist[2 * dest + 1] = 0
+    frontier = [2 * dest, 2 * dest + 1]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for i in frontier:
+            for p in rev[i]:
+                if dist[p] < 0:
+                    dist[p] = d
+                    nxt.append(p)
+        frontier = nxt
+    return dist
+
+
+def _reference_topologies():
+    yield line_topology(5)
+    yield diamond_topology()
+    for switches, fraction in ((4, 1.0), (8, 0.5), (16, 0.5), (32, 1.0),
+                               (64, 0.5), (128, 0.25)):
+        for seed in range(3):
+            params = SimParams(
+                num_switches=switches, num_nodes=2 * switches,
+                topology_seed=seed,
+            )
+            yield generate_irregular_topology(
+                params, seed=seed, extra_link_fraction=fraction
+            )
+
+
+class TestOnePassBuildMatchesReference:
+    def assert_matches(self, topo, rt, up_end):
+        ref_up, ref_down, ref_rev = _reference_tables(topo, up_end)
+        assert rt._up_end == up_end
+        assert rt._up_links == ref_up
+        assert rt._down_links == ref_down
+        # The one pass fills each reverse list in another order; the state
+        # graph is the same, and BFS distances do not depend on the order.
+        assert [sorted(r) for r in rt._rev] == [sorted(r) for r in ref_rev]
+        for dest in range(topo.num_switches):
+            assert rt._solve(dest) == _reference_solve(ref_rev, dest)
+
+    @pytest.mark.parametrize("orientation", ["bfs", "dfs"])
+    def test_build_matches_per_switch_build(self, orientation):
+        from repro.routing.dfs_tree import dfs_preorder_labels
+
+        checked = 0
+        for topo in _reference_topologies():
+            rt = UpDownRouting.build(topo, orientation=orientation)
+            level, parent, parent_link = _reference_bfs_tree(topo)
+            assert (rt.tree.level, rt.tree.parent, rt.tree.parent_link) == \
+                (level, parent, parent_link)
+            if orientation == "bfs":
+                up_end = {lk.link_id: _reference_bfs_up_end(level, lk)
+                          for lk in topo.links}
+            else:
+                labels = dfs_preorder_labels(topo)
+                up_end = {
+                    lk.link_id: lk.a.switch
+                    if labels[lk.a.switch] < labels[lk.b.switch]
+                    else lk.b.switch
+                    for lk in topo.links
+                }
+            self.assert_matches(topo, rt, up_end)
+            checked += 1
+        assert checked == 20
+
+    def test_corrupt_orientations_match(self):
+        import random
+
+        rng = random.Random(34)
+        for topo in _reference_topologies():
+            rt = UpDownRouting.build(topo)
+            for lk in topo.links:
+                if rng.random() < 0.3:
+                    rt._up_end[lk.link_id] = (
+                        lk.b.switch if rt._up_end[lk.link_id] == lk.a.switch
+                        else lk.a.switch
+                    )
+            rt._compute_tables()
+            self.assert_matches(topo, rt, dict(rt._up_end))

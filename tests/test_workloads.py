@@ -152,6 +152,13 @@ class TestArrivalStream:
             ({"drain_factor": float("nan")}, "drain_factor"),
             ({"drain_factor": float("inf")}, "drain_factor"),
             ({"drain_factor": -1.0}, "drain_factor"),
+            ({"deadline_factor": float("nan")}, "deadline_factor"),
+            ({"deadline_factor": float("inf")}, "deadline_factor"),
+            ({"deadline_factor": -1.0}, "deadline_factor"),
+            ({"deadline_factor": 0.0}, "deadline_factor"),
+            ({"warmup": float("nan")}, "warmup"),
+            ({"warmup": -1.0}, "warmup"),
+            ({"warmup": 10_000}, "warmup"),
         ],
     )
     def test_run_workload_rejects_non_finite(self, kw, name):
