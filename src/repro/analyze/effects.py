@@ -8,7 +8,9 @@ module computes an :class:`EffectSet`:
 * ``global_writes`` -- module-level bindings assigned or mutated, in this
   module (including through a ``global`` declaration and through one level
   of local aliasing, ``table = REGISTRY; table[k] = v``) or in another
-  module through an import (``SCHEMES["ni"] = ...``);
+  module through an import (``SCHEMES["ni"] = ...``); a draw from a
+  module-level ``random.Random`` (``_RNG.random()``) advances shared state,
+  so it counts as a write;
 * ``param_writes`` -- attribute stores on a *parameter* whose type resolves
   to a project class (``net.trace = ...``): mutation of caller-owned state.
 
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.analyze.project import (
     MUTATING_METHODS,
+    RNG_DRAW_METHODS,
     FunctionInfo,
     ProjectIndex,
 )
@@ -201,6 +204,11 @@ class _FunctionEffects:
         func = node.func
         if not isinstance(func, ast.Attribute):
             return
+        if func.attr in RNG_DRAW_METHODS and isinstance(func.value, ast.Name):
+            glob = self._global_target(func.value.id)
+            if glob is not None and self.index.is_rng_global(glob):
+                self.effects.global_writes.setdefault(glob, node.lineno)
+                return
         if func.attr not in MUTATING_METHODS:
             return
         root = _root_name(func.value)

@@ -30,6 +30,16 @@ MUTATING_METHODS = {
 }
 """Method names that mutate their receiver in place."""
 
+RNG_DRAW_METHODS = {
+    "random", "randrange", "randint", "randbytes", "getrandbits", "choice",
+    "choices", "shuffle", "sample", "uniform", "triangular", "expovariate",
+    "gauss", "normalvariate", "lognormvariate", "betavariate",
+    "gammavariate", "paretovariate", "vonmisesvariate", "weibullvariate",
+    "binomialvariate", "seed", "setstate",
+}
+"""``random.Random`` methods that advance or reset the generator: a call is
+a write to its state."""
+
 
 def dotted_name(node: ast.AST) -> str | None:
     """Render an attribute/name chain like ``repro.sim.engine.Engine``."""
@@ -87,6 +97,8 @@ class GlobalInfo:
     module: str
     name: str
     lineno: int
+    is_rng: bool = False
+    """Bound to a ``random.Random(...)`` call: its draws are writes."""
 
 
 @dataclass
@@ -114,6 +126,21 @@ def _decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
         if name is not None:
             out.add(name.rsplit(".", 1)[-1])
     return out
+
+
+def _constructs_random(value: ast.AST, imports: dict[str, str]) -> bool:
+    """Whether ``value`` is a ``random.Random(...)`` call, however the
+    module or the class was imported."""
+    if not isinstance(value, ast.Call):
+        return False
+    name = dotted_name(value.func)
+    if name is None:
+        return False
+    head, _, rest = name.partition(".")
+    target = imports.get(head, head)
+    return (f"{target}.{rest}" if rest else target) in (
+        "random.Random", "random:Random"
+    )
 
 
 class ProjectIndex:
@@ -216,6 +243,7 @@ class ProjectIndex:
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         if node.value is None:
             return
+        is_rng = _constructs_random(node.value, entry.imports)
         for t in targets:
             if not isinstance(t, ast.Name):
                 continue
@@ -224,11 +252,19 @@ class ProjectIndex:
                 module=entry.name,
                 name=t.id,
                 lineno=node.lineno,
+                is_rng=is_rng,
             )
 
     # ------------------------------------------------------------------
     # Name resolution
     # ------------------------------------------------------------------
+    def is_rng_global(self, target: str) -> bool:
+        """Whether ``module:NAME`` is a module-level ``random.Random``."""
+        module, _, name = target.partition(":")
+        entry = self.modules.get(module)
+        found = entry.globals_.get(name) if entry is not None else None
+        return found is not None and found.is_rng
+
     def resolve_name(self, module: str, name: str) -> str | None:
         """Resolve a bare name used in ``module`` to a project symbol.
 

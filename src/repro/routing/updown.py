@@ -56,9 +56,11 @@ class UpDownRouting:
 
     Build one per topology via :meth:`build`.  The first query per
     destination runs one BFS over the (switch, phase) state graph; later
-    queries for that destination are list lookups.  States are flat ints,
+    queries for that destination are lookups.  States are flat ints,
     ``2 * switch + phase.value``.  A state's (hop, next state) moves are
-    built on its first next-hop lookup and shared by every destination.
+    built on its first next-hop lookup and shared by every destination;
+    its next hops toward a destination are kept in that destination's
+    sparse dict, which holds only the states a route has asked about.
     """
 
     topo: NetworkTopology
@@ -77,10 +79,13 @@ class UpDownRouting:
     """Per state: the states with a legal move into it."""
     _dist: list[list[int] | None] = field(default_factory=list, repr=False)
     """Per destination, once queried: hop count per state (-1: unreachable)."""
-    _hops: list[list[tuple[Hop, ...] | None] | None] = field(
+    _hops: list[dict[int, tuple[Hop, ...]] | None] = field(
         default_factory=list, repr=False
     )
-    """Per destination, once queried: next hops per state, filled on demand."""
+    """Per destination, once queried: state -> next hops, holding only the
+    states a ``next_hops`` query has asked about.  A unicast route reads
+    one state per hop of the 2S, so a dense per-state list would be mostly
+    empty slots."""
     _down_dist: dict[int, dict[int, int]] = field(default_factory=dict, repr=False)
     """Per source switch, once queried: down-only hop count to each switch
     it reaches."""
@@ -227,7 +232,7 @@ class UpDownRouting:
                         nxt.append(p)
             frontier = nxt
         self._dist[dest] = dist
-        self._hops[dest] = [None] * len(rev)
+        self._hops[dest] = {}
         return dist
 
     def _state_dist(self, switch: int, phase: Phase, dest: int) -> int:
@@ -261,7 +266,7 @@ class UpDownRouting:
             self._solve(dest)
             hops = self._hops[dest]
         i = 2 * switch + (phase is _DOWN)
-        found = hops[i]
+        found = hops.get(i)
         if found is None:
             # Filled on first query, from the state's moves in link order.
             dist = self._dist[dest]

@@ -22,6 +22,14 @@ from repro.sim.engine import Engine
 GrantFn = Callable[[], None]
 LaneGrantFn = Callable[[int], None]
 
+_NO_WAITERS: tuple = ()
+"""A resource's wait queue until its first requester has to wait.
+
+Most channels, host CPUs and NIs of a run never queue anyone, and an empty
+``deque`` costs 760 bytes, so each resource swaps this shared empty tuple
+for a ``deque`` on its first wait (``len``, truth and iteration work on
+both)."""
+
 
 class MultiLaneResource:
     """A ``lanes``-capacity resource with deterministic lane allocation.
@@ -45,6 +53,8 @@ class MultiLaneResource:
     ``adaptive_only=True`` requests refuse lane 0 (the escape lane); they are
     issued by escape-mode routing only when a higher lane is known free, so
     in practice they always grant synchronously and never block on lane 0.
+    A one-lane resource has no lane such a request accepts, so it raises
+    ``ValueError`` instead of queueing a requester that is never granted.
     """
 
     __slots__ = (
@@ -75,7 +85,7 @@ class MultiLaneResource:
         self.name = name
         self.lanes = lanes
         self._owned = [False] * lanes
-        self._queue: deque[tuple[LaneGrantFn, bool]] = deque()
+        self._queue: deque[tuple[LaneGrantFn, bool]] | tuple = _NO_WAITERS
         self._next_lane = lane_seed % lanes
         self.grants = 0
         self.releases = 0
@@ -105,12 +115,24 @@ class MultiLaneResource:
             self.peak_owned = owned
 
     def request(self, fn: LaneGrantFn, adaptive_only: bool = False) -> None:
-        """Queue for a lane; ``fn(lane)`` fires on grant."""
+        """Queue for a lane; ``fn(lane)`` fires on grant.
+
+        Raises:
+            ValueError: for an ``adaptive_only`` request on a one-lane
+                resource, which no release could ever grant.
+        """
+        if adaptive_only and self.lanes == 1:
+            raise ValueError(
+                f"adaptive_only request on {self.name!r}, which has one "
+                "lane: it refuses lane 0 and could never be granted"
+            )
         lane = self._find_free_lane(adaptive_only)
         if lane is not None:
             self._grant(lane)
             fn(lane)
         else:
+            if self._queue is _NO_WAITERS:
+                self._queue = deque()
             self._queue.append((fn, adaptive_only))
 
     def release(self, lane: int = 0) -> None:
@@ -159,7 +181,7 @@ class MultiLaneResource:
 
     def drop_waiters(self) -> None:
         """Forget every queued requester; their grants never fire."""
-        self._queue.clear()
+        self._queue = _NO_WAITERS
 
 
 class FifoResource:
@@ -185,7 +207,7 @@ class FifoResource:
         self.engine = engine
         self.name = name
         self._busy = False
-        self._queue: deque[GrantFn] = deque()
+        self._queue: deque[GrantFn] | tuple = _NO_WAITERS
         self.grants = 0
         self.release_hook: Callable[[float], None] | None = None
         """Observability: called with the release time on every release."""
@@ -201,6 +223,8 @@ class FifoResource:
             self._granted_at = self.engine.now
             fn()
         else:
+            if self._queue is _NO_WAITERS:
+                self._queue = deque()
             self._queue.append(fn)
 
     def release(self) -> None:
@@ -232,7 +256,7 @@ class FifoResource:
 
     def drop_waiters(self) -> None:
         """Forget every queued requester; their grants never fire."""
-        self._queue.clear()
+        self._queue = _NO_WAITERS
 
     def hold_for(self, duration: float, then: GrantFn | None = None) -> None:
         """Convenience: request, hold ``duration`` cycles, release.

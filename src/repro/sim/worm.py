@@ -74,9 +74,13 @@ SteerFn = Callable[[int, object], list["Deliver | Forward"]]
 """(switch, state) -> replication instructions at this switch."""
 
 
-@dataclass
+@dataclass(slots=True, weakref_slot=True)
 class _Hop:
-    """One granted-or-requested channel on the worm's replication tree."""
+    """One granted-or-requested channel on the worm's replication tree.
+
+    Slotted: a worm makes one per channel it crosses, and a slotted hop is
+    less than half the size of one with an instance ``__dict__``.  The
+    weakref slot lets tests watch a finished worm's hops die."""
 
     channel: Channel
     parent: "_Hop | None"
@@ -194,10 +198,6 @@ class Worm:
         self._unreleased += 1
         return hop
 
-    def _trace(self, event: str, detail: str) -> None:
-        if self.trace is not None:
-            self.trace.emit(self.engine.now, event, self.label, detail)
-
     def _request(self, hop: _Hop, next_state: object) -> None:
         if hop.channel.revoked:
             # Link-level nack: the channel was taken out of service by a
@@ -215,7 +215,8 @@ class Worm:
                 hop.channel.release(lane)
                 return
             hop.h = self.engine.now + hop.channel.delay
-            self._trace("grant", hop.channel.name)
+            if self.trace is not None:
+                self.trace.emit(self.engine.now, "grant", self.label, hop.channel.name)
             if not hop.terminal:
                 # Header reaches the next switch's input buffer at hop.h and
                 # spends routing_delay being decoded before replication.
@@ -345,7 +346,8 @@ class Worm:
         if self.aborted:
             return
         self._pending_deliveries -= 1
-        self._trace("deliver", f"node {node}")
+        if self.trace is not None:
+            self.trace.emit(self.engine.now, "deliver", self.label, f"node {node}")
         self.on_delivered(node, self.engine.now)
         self._check_done()
 
@@ -472,7 +474,8 @@ class Worm:
             return
         hop.released = True
         hop.counted = True
-        self._trace("release", hop.channel.name)
+        if self.trace is not None:
+            self.trace.emit(self.engine.now, "release", self.label, hop.channel.name)
         hop.channel.flits_carried += self.length
         hop.channel.worms_carried += 1
         hop.channel.release(hop.lane)
@@ -509,7 +512,8 @@ class Worm:
             return
         self.aborted = True
         self.abort_reason = reason
-        self._trace("abort", reason)
+        if self.trace is not None:
+            self.trace.emit(self.engine.now, "abort", self.label, reason)
         for hop in self._hops:
             # A hop parked on its parent (or on itself) closes a cycle that
             # no later state change clears once the worm is dead.

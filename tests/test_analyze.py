@@ -133,6 +133,72 @@ class TestPartitionSafety:
         found = [(f.rule, f.line) for f in analyze(root).findings]
         assert found == [("runtime-global-mutation", 9)]
 
+    def test_planted_module_rng_draw_is_flagged(self, tmp_path):
+        # Kill-table case G4 (DESIGN.md §7): a module-level seeded Random
+        # breaks equal-distance ties in NI ordering, so each draw advances
+        # state the next cell in the worker process inherits.
+        root = write_tree(tmp_path, {
+            "multicast/ordering.py": """
+                import random
+
+                _TIES = random.Random(7)
+
+                def order_destinations(dests, dist):
+                    return sorted(dests, key=lambda d: (dist[d], _TIES.random()))
+            """,
+            "traffic/load.py": """
+                from multicast.ordering import order_destinations
+
+                def run_load_experiment(cfg):
+                    return order_destinations(cfg.dests, cfg.dist)
+            """,
+        })
+        found = [(f.rule, pathlib.Path(f.path).name, f.line)
+                 for f in analyze(root).findings]
+        assert found == [("runtime-global-mutation", "ordering.py", 7)]
+
+    @pytest.mark.parametrize("body", [
+        pytest.param("""
+            from random import Random
+
+            _RNG = Random(3)
+
+            def run_load_experiment(cfg):
+                rng = _RNG
+                return rng.choice(cfg)
+        """, id="imported-class-through-alias"),
+        pytest.param("""
+            import random as rnd
+
+            _RNG = rnd.Random(3)
+
+            def run_load_experiment(cfg):
+                _RNG.shuffle(cfg)
+        """, id="module-alias"),
+    ])
+    def test_module_rng_draw_forms_are_flagged(self, tmp_path, body):
+        root = write_tree(tmp_path, {"traffic/load.py": body})
+        assert "runtime-global-mutation" in rules_found(analyze(root))
+
+    def test_owned_rng_draws_are_not_global_writes(self, tmp_path):
+        # A generator the call builds, or one the caller hands in, is not
+        # module state; neither is a module-level non-Random with a
+        # same-named method.
+        root = write_tree(tmp_path, {"traffic/load.py": """
+            import random
+
+            class Pool:
+                def choice(self, xs):
+                    return xs[0]
+
+            POOL = Pool()
+
+            def run_load_experiment(cfg, rng):
+                local = random.Random(cfg)
+                return local.random() + rng.random() + POOL.choice([1])
+        """})
+        assert "runtime-global-mutation" not in rules_found(analyze(root))
+
     def test_unreachable_registry_write_stays_partition_local(self, tmp_path):
         root = write_tree(tmp_path, {"traffic/load.py": """
             PATTERNS = {}

@@ -194,6 +194,20 @@ class TestFifoResource:
         res.request(lambda: None)
         assert res.busy and res.queue_length == 2
 
+    def test_requests_after_drop_waiters_queue_again(self):
+        eng = Engine()
+        res = FifoResource(eng, "r")
+        order = []
+        for tag in "ab":
+            res.request(lambda t=tag: order.append(t))
+        res.drop_waiters()
+        assert res.queue_length == 0
+        res.request(lambda: order.append("c"))
+        assert res.queue_length == 1
+        res.release()
+        eng.run()
+        assert order == ["a", "c"]  # b was dropped, c queued afresh
+
 
 class TestThroughputResource:
     def test_single_transfer_time(self):

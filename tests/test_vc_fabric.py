@@ -76,6 +76,19 @@ class TestMultiLaneResource:
         assert got == [1]
         assert res.has_free_lane and not res.has_free_adaptive_lane
 
+    def test_adaptive_request_on_one_lane_is_rejected(self):
+        # Lane 0 is the only lane and adaptive requests refuse it, so the
+        # request could only queue forever.
+        eng = Engine()
+        res = MultiLaneResource(eng, lanes=1, name="ch:7")
+        got: list[int] = []
+        with pytest.raises(ValueError, match="'ch:7'"):
+            res.request(got.append, adaptive_only=True)
+        eng.run()
+        assert got == [] and res.queue_length == 0
+        res.request(got.append)
+        assert got == [0]
+
     def test_queued_grant_is_deferred_and_fifo(self):
         eng = Engine()
         res = MultiLaneResource(eng, lanes=1, name="ch")

@@ -14,6 +14,8 @@ Covers the contracts :mod:`repro.workloads` exists to keep:
   scheme, under overlapping load;
 * a seeded 16-switch broadcast+allreduce mix replays to a pinned golden
   digest, directly, twice, and through the process-pool cell runner;
+* a seeded mix of all three kinds with 4-packet messages, under which
+  channels and NIs queue, replays to a pinned digest per scheme;
 * degenerate single-participant collectives complete at launch plus one
   host overhead block (and never hang);
 * zero-length measurement windows report zero throughput instead of
@@ -32,6 +34,7 @@ from repro.experiments.runner import Cell, derive_seed, execute_cells, \
     execution_context
 from repro.params import SimParams
 from repro.sim.network import SimNetwork
+from repro.sim.resources import FifoResource, MultiLaneResource
 from repro.topology.irregular import generate_topology_family
 from repro.traffic.load import LoadPoint
 from repro.workloads import (
@@ -438,6 +441,60 @@ class TestGoldenDigest:
             parallel = execute_cells(cells)
         assert json.dumps(serial) == json.dumps(parallel)
         assert serial[0]["digest"] == GOLDEN_DIGEST
+
+
+# ----------------------------------------------------------------------
+# Golden digests: all three kinds, multi-packet messages, contention
+# ----------------------------------------------------------------------
+MIXED_PARAMS = SimParams(
+    num_switches=16, num_nodes=16, packet_flits=16, message_packets=4
+)
+MIXED_KW = dict(
+    seed=2024, rate=0.0003, duration=40_000, warmup=4_000,
+    kinds=("broadcast", "allreduce", "barrier"),
+)
+MIXED_DIGESTS = {
+    "ni": "0574d5387625ba75013ab542f2126a9060c5ee30d0dc5f73ca868865e6f7f1ef",
+    "path": "3406e3ed343dca9d596369f09013a9963ad8e15410689fe6de636bd69a4f4bad",
+    "tree": "d8775c1117493d054cfb71d324485919a67c4fbdbfe2dab8bfcd46a849d0b09e",
+}
+"""Replay fingerprints of the mixed run below, one per scheme.  The only
+pinned runs that mix three collective kinds (a kind order that depends on
+str hashing shows under ``PYTHONHASHSEED``) and send multi-packet
+messages (a rewrite of ``net.params`` to one packet shows)."""
+
+
+def _mixed_run(scheme):
+    topo = generate_topology_family(MIXED_PARAMS, 1)[0]
+    return run_workload(topo, MIXED_PARAMS, scheme, **MIXED_KW)
+
+
+class TestMixedKindGoldenDigest:
+    @pytest.mark.parametrize("scheme", sorted(MIXED_DIGESTS))
+    def test_matches_pinned_digest(self, scheme, monkeypatch):
+        # The pin covers wait queues under contention only if requesters
+        # really wait: count requests that find the resource taken, on
+        # channels and on NI processors (the counters call straight
+        # through, so they change nothing the digest sees).
+        waits = {"channel": 0, "ni": 0}
+        lane_request = MultiLaneResource.request
+        fifo_request = FifoResource.request
+
+        def channel_request(res, fn, adaptive_only=False):
+            waits["channel"] += not res.has_free_lane
+            lane_request(res, fn, adaptive_only)
+
+        def ni_request(res, fn):
+            waits["ni"] += res.busy and res.name.startswith("ni:")
+            fifo_request(res, fn)
+
+        monkeypatch.setattr(MultiLaneResource, "request", channel_request)
+        monkeypatch.setattr(FifoResource, "request", ni_request)
+        report = _mixed_run(scheme)
+        assert {r.kind for r in report.records} == set(MIXED_KW["kinds"])
+        assert report.completed == report.measured > 0
+        assert report.digest() == MIXED_DIGESTS[scheme]
+        assert waits["channel"] > 100 and waits["ni"] > 50, waits
 
 
 # ----------------------------------------------------------------------
